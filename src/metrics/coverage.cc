@@ -1,7 +1,7 @@
 #include "metrics/coverage.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -39,27 +39,26 @@ Bitset NetworkCoverageBits(const Graph& network,
   Bitset bits(network_edges.size());
   if (pattern.NumEdges() == 0) return bits;
 
-  // Edge key -> index in network_edges.
-  std::unordered_map<uint64_t, size_t> edge_index;
-  edge_index.reserve(network_edges.size() * 2);
-  auto key = [](VertexId u, VertexId v) {
-    if (u > v) std::swap(u, v);
-    return (static_cast<uint64_t>(u) << 32) | v;
-  };
-  for (size_t i = 0; i < network_edges.size(); ++i) {
-    edge_index[key(network_edges[i].u, network_edges[i].v)] = i;
-  }
-
   MatchOptions match;
   match.match_vertex_labels = options.match_vertex_labels;
   match.max_embeddings = options.max_embeddings;
   match.max_steps = options.max_steps;
   SubgraphMatcher matcher(pattern, network, match);
   std::vector<Edge> pattern_edges = pattern.Edges();
+  // network_edges is network.Edges(): sorted by (u, v) with u < v, so an
+  // edge's index is a binary search away and no lookup table is built.
+  auto before = [](const Edge& e, const std::pair<VertexId, VertexId>& key) {
+    return std::pair(e.u, e.v) < key;
+  };
   matcher.Enumerate([&](const Embedding& embedding) {
     for (const Edge& pe : pattern_edges) {
-      auto it = edge_index.find(key(embedding[pe.u], embedding[pe.v]));
-      if (it != edge_index.end()) bits.Set(it->second);
+      VertexId u = embedding[pe.u], v = embedding[pe.v];
+      if (u > v) std::swap(u, v);
+      auto it = std::lower_bound(network_edges.begin(), network_edges.end(),
+                                 std::pair(u, v), before);
+      if (it != network_edges.end() && it->u == u && it->v == v) {
+        bits.Set(static_cast<size_t>(it - network_edges.begin()));
+      }
     }
     return true;
   });

@@ -41,6 +41,7 @@ struct NetworkCoverageOptions {
 
 /// Bitset over the network's edge list (g.Edges() order): bit set iff that
 /// edge is used by one of the enumerated embeddings of `pattern`.
+/// `network_edges` must be `network.Edges()`; it is binary-searched.
 Bitset NetworkCoverageBits(const Graph& network,
                            const std::vector<Edge>& network_edges,
                            const Graph& pattern,

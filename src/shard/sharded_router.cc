@@ -1,6 +1,7 @@
 #include "shard/sharded_router.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <tuple>
 
@@ -338,10 +339,13 @@ Status ShardedRouter::BuildSubRequests(
     }
   };
   if (request.kind == QueryKind::kSuggest) {
-    // Suggestions are collection-scoped; every shard ranks its slice and the
-    // merge re-ranks by summed support (see docs/sharding.md for the top_k
-    // approximation this implies).
+    // Suggestions are collection-scoped; every shard returns its slice's
+    // whole list for the focus label, uncut, so the merge sums every
+    // continuation's support and applies the request's top_k afterwards.
     broadcast();
+    for (auto& leg : *subs) {
+      leg.second.top_k = std::numeric_limits<size_t>::max();
+    }
     return Status::OK();
   }
   if (!request.targets.empty()) {

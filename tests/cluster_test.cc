@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <tuple>
 
 #include "cluster/agglomerative.h"
 #include "cluster/closure.h"
@@ -12,7 +16,10 @@
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "kmedoids_oracle.h"
 #include "match/vf2.h"
+#include "mining/closed_trees.h"
+#include "mining/graphlets.h"
 #include "mining/tree_miner.h"
 
 namespace vqi {
@@ -95,6 +102,167 @@ TEST(KMedoidsTest, MedoidsAreMembers) {
   for (size_t c = 0; c < result.num_clusters(); ++c) {
     size_t medoid = result.medoids[c];
     ASSERT_LT(medoid, points.size());
+  }
+}
+
+// --- Differential: KMedoids / MeanSilhouette vs the dense oracle ---------
+
+constexpr DistanceMetric kAllMetrics[] = {
+    DistanceMetric::kEuclidean, DistanceMetric::kCosine,
+    DistanceMetric::kJaccard};
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// Runs the library and the oracle from the same seed and asserts identical
+// assignments and medoids and bit-identical cost and silhouette. Returns the
+// library's clustering.
+ClusteringResult ExpectMatchesOracle(const std::vector<FeatureVector>& points,
+                                     size_t k, DistanceMetric metric,
+                                     uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "metric " << static_cast<int>(metric)
+                                    << " k " << k << " seed " << seed);
+  Rng rng(seed), oracle_rng(seed);
+  ClusteringResult got = KMedoids(points, k, metric, rng);
+  ClusteringResult want = oracle::KMedoids(points, k, metric, oracle_rng);
+  EXPECT_EQ(got.assignment, want.assignment);
+  EXPECT_EQ(got.medoids, want.medoids);
+  EXPECT_EQ(Bits(got.cost), Bits(want.cost)) << got.cost << " vs " << want.cost;
+  EXPECT_EQ(Bits(MeanSilhouette(points, got, metric)),
+            Bits(oracle::MeanSilhouette(points, want, metric)));
+  // Both consumed the same random draws.
+  EXPECT_EQ(rng.Next(), oracle_rng.Next());
+  return got;
+}
+
+bool AllBinary(const std::vector<FeatureVector>& points) {
+  for (const FeatureVector& p : points) {
+    for (double x : p) {
+      if (x != 0.0 && x != 1.0) return false;
+    }
+  }
+  return true;
+}
+
+// Random 0/1 vectors, each coordinate set with probability `density`.
+std::vector<FeatureVector> RandomBinary(size_t n, size_t dim, double density,
+                                        Rng& rng) {
+  std::vector<FeatureVector> points(n, FeatureVector(dim, 0.0));
+  for (FeatureVector& p : points) {
+    for (double& x : p) x = rng.Bernoulli(density) ? 1.0 : 0.0;
+  }
+  return points;
+}
+
+// Seeded molecule corpora clustered on closed-tree features, as CATAPULT
+// does: support 5% of the collection, trees up to two edges, k = ceil(sqrt n).
+class KMedoidsCorpusTest
+    : public ::testing::TestWithParam<std::tuple<size_t, uint64_t>> {};
+
+TEST_P(KMedoidsCorpusTest, MatchesDenseOracle) {
+  const auto [size, seed] = GetParam();
+  GraphDatabase db = gen::MoleculeDatabase(size, gen::MoleculeConfig{}, seed);
+  TreeMinerConfig config;
+  config.min_support = std::max<size_t>(2, size / 20);
+  config.max_edges = 2;
+  std::vector<FeatureVector> features =
+      TreeFeatures(db, MineClosedTrees(db, config));
+  ASSERT_EQ(features.size(), size);
+  ASSERT_FALSE(features[0].empty());
+  ASSERT_TRUE(AllBinary(features));
+  const size_t k = static_cast<size_t>(
+      std::ceil(std::sqrt(static_cast<double>(size))));
+  for (DistanceMetric metric : kAllMetrics) {
+    ExpectMatchesOracle(features, k, metric, seed);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpora, KMedoidsCorpusTest,
+    ::testing::Combine(::testing::Values<size_t>(50, 300, 1000),
+                       ::testing::Values<uint64_t>(1, 2, 3)));
+
+TEST(KMedoidsDifferentialTest, AllZeroVectors) {
+  std::vector<FeatureVector> points(7, FeatureVector(5, 0.0));
+  for (DistanceMetric metric : kAllMetrics) {
+    ExpectMatchesOracle(points, 3, metric, 11);
+  }
+}
+
+TEST(KMedoidsDifferentialTest, SomeZeroVectors) {
+  // Zero rows next to non-zero rows hit the one-zero-vector cosine case.
+  Rng rng(12);
+  std::vector<FeatureVector> points = RandomBinary(40, 9, 0.3, rng);
+  for (size_t i = 0; i < points.size(); i += 4) {
+    std::fill(points[i].begin(), points[i].end(), 0.0);
+  }
+  for (DistanceMetric metric : kAllMetrics) {
+    for (size_t k : {1, 2, 5}) ExpectMatchesOracle(points, k, metric, 12);
+  }
+}
+
+TEST(KMedoidsDifferentialTest, DuplicateVectorsBreakTiesAlike) {
+  // Three distinct rows repeated many times: every distance ties.
+  Rng rng(13);
+  std::vector<FeatureVector> distinct = RandomBinary(3, 6, 0.5, rng);
+  std::vector<FeatureVector> points;
+  for (int copy = 0; copy < 20; ++copy) {
+    for (const FeatureVector& p : distinct) points.push_back(p);
+  }
+  for (DistanceMetric metric : kAllMetrics) {
+    for (size_t k : {2, 3, 4, 7}) ExpectMatchesOracle(points, k, metric, 13);
+  }
+}
+
+TEST(KMedoidsDifferentialTest, KOneAndKEqualsN) {
+  Rng rng(14);
+  std::vector<FeatureVector> points = RandomBinary(30, 12, 0.4, rng);
+  for (DistanceMetric metric : kAllMetrics) {
+    ExpectMatchesOracle(points, 1, metric, 14);
+    ClusteringResult all = ExpectMatchesOracle(points, 30, metric, 14);
+    EXPECT_EQ(all.num_clusters(), 30u);
+    // k > n clamps to n.
+    ExpectMatchesOracle(points, 45, metric, 14);
+  }
+}
+
+TEST(KMedoidsDifferentialTest, MultiWordDimensions) {
+  // 64, 65 and 200 coordinates: exactly one word, one bit past it, and
+  // several words with a partial last word.
+  for (size_t dim : {64, 65, 200}) {
+    Rng rng(dim);
+    std::vector<FeatureVector> points = RandomBinary(120, dim, 0.2, rng);
+    for (DistanceMetric metric : kAllMetrics) {
+      ExpectMatchesOracle(points, 11, metric, dim);
+    }
+  }
+}
+
+TEST(KMedoidsDifferentialTest, GraphletFeaturesTakeTheDensePath) {
+  // Graphlet frequencies are fractions. Read as 0/1 vectors they would be
+  // (nearly) all zero, and the clustering and its cost would change.
+  GraphDatabase db = gen::MoleculeDatabase(60, gen::MoleculeConfig{}, 15);
+  std::vector<FeatureVector> features;
+  for (const Graph& g : db.graphs()) {
+    GraphletDistribution d = GraphletsOf(g);
+    features.emplace_back(d.freq.begin(), d.freq.end());
+  }
+  ASSERT_FALSE(AllBinary(features));
+  for (DistanceMetric metric : kAllMetrics) {
+    ClusteringResult got = ExpectMatchesOracle(features, 8, metric, 15);
+    EXPECT_GT(got.cost, 0.0);
+  }
+}
+
+TEST(KMedoidsDifferentialTest, OneFractionalCoordinateTakesTheDensePath) {
+  Rng rng(16);
+  std::vector<FeatureVector> points = RandomBinary(50, 10, 0.5, rng);
+  points[17][3] = 0.5;
+  for (DistanceMetric metric : kAllMetrics) {
+    ExpectMatchesOracle(points, 6, metric, 16);
   }
 }
 

@@ -7,6 +7,8 @@
 #include "match/similarity_search.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "match/pattern_utils.h"
+#include "match/vf2.h"
 #include "metrics/cognitive_load.h"
 #include "metrics/coverage.h"
 #include "metrics/diversity.h"
@@ -100,6 +102,74 @@ TEST(CoverageTest, NetworkCoverageBudgeted) {
   Bitset big = NetworkCoverageBits(g, edges, builder::Triangle(), opts);
   EXPECT_LE(small.Count(), big.Count());
   EXPECT_GT(big.Count(), 0u);
+}
+
+// The same embeddings as NetworkCoverageBits, each pattern edge located by
+// a linear scan of the edge list.
+Bitset BruteForceNetworkCoverage(const Graph& network,
+                                 const std::vector<Edge>& edges,
+                                 const Graph& pattern,
+                                 const NetworkCoverageOptions& options) {
+  Bitset bits(edges.size());
+  if (pattern.NumEdges() == 0) return bits;
+  MatchOptions match;
+  match.match_vertex_labels = options.match_vertex_labels;
+  match.max_embeddings = options.max_embeddings;
+  match.max_steps = options.max_steps;
+  SubgraphMatcher matcher(pattern, network, match);
+  std::vector<Edge> pattern_edges = pattern.Edges();
+  matcher.Enumerate([&](const Embedding& embedding) {
+    for (const Edge& pe : pattern_edges) {
+      VertexId a = embedding[pe.u], b = embedding[pe.v];
+      for (size_t i = 0; i < edges.size(); ++i) {
+        if ((edges[i].u == a && edges[i].v == b) ||
+            (edges[i].u == b && edges[i].v == a)) {
+          bits.Set(i);
+        }
+      }
+    }
+    return true;
+  });
+  return bits;
+}
+
+TEST(CoverageTest, NetworkCoverageMatchesBruteForceLookup) {
+  Rng rng(21);
+  gen::LabelConfig labels;
+  labels.num_vertex_labels = 3;
+  Graph network = gen::BarabasiAlbert(400, 3, labels, rng);
+  std::vector<Edge> edges = network.Edges();
+  std::vector<Graph> patterns = {
+      Graph(),                          // empty pattern
+      builder::FromLists({0}, {}),      // one vertex, no edges
+      builder::SingleEdge(7, 7),        // label absent: 0 embeddings
+      builder::SingleEdge(0, 1),
+      builder::Path(3, 0),
+      builder::Triangle(0),
+      builder::Star(3, 0),
+  };
+  for (size_t edges_in_sample : {2, 3, 4}) {
+    for (int s = 0; s < 4; ++s) {
+      auto sample = RandomConnectedSubgraph(network, edges_in_sample, rng);
+      if (sample.has_value()) patterns.push_back(std::move(*sample));
+    }
+  }
+  NetworkCoverageOptions options;
+  size_t nonempty = 0;
+  for (const Graph& pattern : patterns) {
+    Bitset got = NetworkCoverageBits(network, edges, pattern, options);
+    Bitset want = BruteForceNetworkCoverage(network, edges, pattern, options);
+    EXPECT_EQ(got.size(), edges.size());
+    EXPECT_TRUE(got == want) << "pattern with " << pattern.NumVertices()
+                             << " vertices, " << pattern.NumEdges()
+                             << " edges: " << got.Count() << " vs "
+                             << want.Count() << " bits";
+    if (pattern.NumEdges() == 0 || pattern.VertexLabel(0) == 7) {
+      EXPECT_EQ(got.Count(), 0u);
+    }
+    if (got.Count() > 0) ++nonempty;
+  }
+  EXPECT_GE(nonempty, 8u);
 }
 
 TEST(DiversityTest, IdenticalPatternsZeroDiversity) {

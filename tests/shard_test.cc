@@ -198,6 +198,47 @@ TEST(ShardedRouterTest, SuggestSumsSupportAcrossShards) {
   EXPECT_EQ(SupportMap(merged.suggestions), SupportMap(expected.suggestions));
 }
 
+TEST(ShardedRouterTest, SuggestTopKIsExactAfterTheMerge) {
+  // Small top_k values cut the ranking. The router must still return the
+  // single service's list, continuation for continuation and in its order:
+  // a continuation that ranks low on one shard can rank high overall.
+  GraphDatabase db = MakeMolecules(40);
+  QueryService reference(db, QueryServiceOptions{});
+  ShardedRouterOptions options;
+  options.num_shards = 2;
+  ShardedRouter router(db, options);
+  size_t cut = 0;
+  for (Label from : {Label{0}, Label{1}, Label{2}, Label{3}, Label{5},
+                     Label{42}}) {
+    for (size_t top_k = 1; top_k <= 10; ++top_k) {
+      SCOPED_TRACE(::testing::Message()
+                   << "from label " << from << " top_k " << top_k);
+      QueryRequest request;
+      request.kind = QueryKind::kSuggest;
+      request.pattern = SingleVertexPattern(from);
+      request.focus = 0;
+      request.top_k = top_k;
+      QueryResult expected = reference.Execute(request);
+      QueryResult merged = router.Execute(request);
+      ASSERT_TRUE(expected.status.ok());
+      ASSERT_TRUE(merged.status.ok());
+      ASSERT_EQ(merged.suggestions.size(), expected.suggestions.size());
+      for (size_t i = 0; i < expected.suggestions.size(); ++i) {
+        const EdgeSuggestion& got = merged.suggestions[i];
+        const EdgeSuggestion& want = expected.suggestions[i];
+        EXPECT_EQ(std::tie(got.from_label, got.edge_label, got.to_label,
+                           got.support),
+                  std::tie(want.from_label, want.edge_label, want.to_label,
+                           want.support))
+            << "rank " << i;
+      }
+      if (expected.suggestions.size() == top_k) ++cut;
+    }
+  }
+  // Most (label, top_k) pairs really cut the ranking.
+  EXPECT_GT(cut, 30u);
+}
+
 TEST(ShardedRouterTest, UnknownTargetIsNotFound) {
   GraphDatabase db = MakeMolecules(6);
   ShardedRouter router(db, ShardedRouterOptions{});
