@@ -63,7 +63,8 @@ QueryService::QueryService(const GraphDatabase& db, QueryServiceOptions options)
       options_(options),
       registry_(options.metrics != nullptr ? options.metrics : &metrics_),
       traces_(options.trace_capacity),
-      suggestions_(SuggestionIndex::Build(db)),
+      suggestions_(std::make_shared<const VersionedSuggestions>(
+          VersionedSuggestions{db.Version(), SuggestionIndex::Build(db)})),
       cache_(std::max<size_t>(1, options.cache_capacity),
              std::max<size_t>(1, options.cache_shards)),
       waiter_budget_(options.coalesce_retry_ratio,
@@ -108,10 +109,7 @@ QueryService::QueryService(const GraphDatabase& db, QueryServiceOptions options)
       "Requests answered with a partial (truncated) result.", base);
   cache_invalidations_total_ = &reg.GetCounter(
       "vqi_cache_invalidations_total",
-      "InvalidateCache() epoch bumps (e.g. maintenance batches).", base);
-  cache_key_invalidations_total_ = &reg.GetCounter(
-      "vqi_cache_key_invalidations_total",
-      "InvalidateCacheKey() per-graph epoch bumps.", base);
+      "InvalidateCache() flushes (explicit; freshness needs none).", base);
   cache_probe_faults_total_ = &reg.GetCounter(
       "vqi_cache_probe_degraded_total",
       "Cache probes degraded to a miss by an injected cache fault.", base);
@@ -149,57 +147,38 @@ void QueryService::InvalidateCache() {
   cache_invalidations_total_->Increment();
 }
 
-void QueryService::InvalidateCacheKey(GraphId graph_id) {
-  {
-    MutexLock lock(&graph_epochs_mutex_);
-    ++graph_epochs_[graph_id];
-  }
-  // Whole-collection results and suggestions depend on every graph, so they
-  // must go too; single-target and explicit-target-set entries that do not
-  // involve this graph survive.
-  all_graphs_epoch_.fetch_add(1, std::memory_order_relaxed);
-  cache_key_invalidations_total_->Increment();
-}
-
-uint64_t QueryService::GraphEpoch(GraphId graph_id) const {
-  MutexLock lock(&graph_epochs_mutex_);
-  auto it = graph_epochs_.find(graph_id);
-  return it == graph_epochs_.end() ? 0 : it->second;
-}
-
 std::string QueryService::CacheKey(const QueryRequest& request) const {
   if (options_.cache_capacity == 0 && !options_.enable_coalescing) return "";
   if (request.pattern.NumVertices() > kMaxCacheableVertices) return "";
   // The epoch prefix implements InvalidateCache(): bumping it reroutes every
   // lookup away from pre-bump entries, which then age out via LRU. The
-  // second segment implements InvalidateCacheKey(): entries are additionally
-  // keyed by the epoch of the data they depend on — the target graph's for a
-  // single-target match, each member graph's for an explicit target set, the
-  // whole collection's for kAllGraphs matches and suggestions. Coalesced
-  // waiters are detached by the same mechanism: fan-out recomputes this key
-  // and a mid-flight invalidation makes it differ from the entry's.
+  // second segment keys the entry by the database versions of the data it
+  // depends on — the target graph's content version for a single-target
+  // match, each member's for an explicit target set, the collection version
+  // for kAllGraphs matches and suggestions — so a mutation reroutes lookups
+  // the same way with nothing to call. Coalesced waiters are detached by the
+  // same mechanism: fan-out recomputes this key and a mid-flight flush or
+  // mutation makes it differ from the entry's.
   std::string key = "e";
   key += std::to_string(cache_epoch_.load(std::memory_order_relaxed));
   key += '|';
   if (request.kind == QueryKind::kSuggest ||
       (request.target == kAllGraphs && request.targets.empty())) {
     key += 'a';
-    key += std::to_string(all_graphs_epoch_.load(std::memory_order_relaxed));
+    key += std::to_string(db_.Version());
   } else if (!request.targets.empty()) {
     // Admission sorted and deduplicated the set, so equal sets produce equal
-    // keys. One lock for all members keeps the epoch vector consistent.
+    // keys.
     key += 't';
-    MutexLock lock(&graph_epochs_mutex_);
     for (GraphId id : request.targets) {
       key += std::to_string(id);
       key += ':';
-      auto it = graph_epochs_.find(id);
-      key += std::to_string(it == graph_epochs_.end() ? 0 : it->second);
+      key += std::to_string(db_.ContentVersion(id));
       key += ',';
     }
   } else {
     key += 'g';
-    key += std::to_string(GraphEpoch(request.target));
+    key += std::to_string(db_.ContentVersion(request.target));
   }
   key += '|';
   if (request.kind == QueryKind::kSuggest) {
@@ -626,8 +605,24 @@ QueryResult QueryService::RunMatch(const QueryRequest& request,
 }
 
 QueryResult QueryService::RunSuggest(const QueryRequest& request) {
+  std::shared_ptr<const VersionedSuggestions> current;
+  {
+    MutexLock lock(&suggestions_mutex_);
+    current = suggestions_;
+  }
+  const uint64_t version = db_.Version();
+  if (current->version != version) {
+    // Build outside the lock, like MatchIndexCache: a rebuild is a scan of
+    // every edge and must not stall suggestions served from the old index by
+    // other workers. Racing rebuilds at one version are equal; the first to
+    // publish wins.
+    current = std::make_shared<const VersionedSuggestions>(
+        VersionedSuggestions{version, SuggestionIndex::Build(db_)});
+    MutexLock lock(&suggestions_mutex_);
+    if (suggestions_->version < version) suggestions_ = current;
+  }
   QueryResult result;
-  result.suggestions = suggestions_.SuggestNextEdges(
+  result.suggestions = current->index.SuggestNextEdges(
       request.pattern, request.focus, request.top_k);
   result.status = Status::OK();
   return result;
@@ -653,14 +648,11 @@ Status QueryService::CountWithDeadline(const Graph& pattern,
 
   MatchOptions opts = options_.match_options;
   opts.max_embeddings = request.max_embeddings;
+  opts.use_index = true;
   // One index fetch per (request, target): slices reuse the same immutable
   // snapshot, and the cache revalidates against the database's content
   // version so a maintainer rewrite of this graph forces a rebuild here.
-  std::shared_ptr<const MatchIndex> index;
-  if (options_.use_match_index) {
-    opts.use_index = true;
-    index = index_cache_.Get(db_, target.id());
-  }
+  std::shared_ptr<const MatchIndex> index = index_cache_.Get(db_, target.id());
   if (request.deadline_ms <= 0) {
     opts.max_steps = 0;
     if (CancelRequested(request)) {

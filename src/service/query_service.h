@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/field_count.h"
@@ -118,21 +117,13 @@ struct QueryServiceOptions {
   /// shards stay distinct in one registry. Instruments with their own label
   /// dimension (shed priority, cache_shard, pool) append it to these.
   obs::Labels metric_labels = {};
-  /// Serve kMatchCount requests through the per-graph MatchIndex (CSR
-  /// adjacency + candidate index, see docs/matching.md): indexes are built
-  /// lazily per target graph, cached, and revalidated against
-  /// GraphDatabase::ContentVersion, so maintainer batches that rewrite a
-  /// graph force a rebuild on next use. Off = the legacy direct-adjacency
-  /// oracle path. Appended field — keep last so existing aggregate
-  /// initializers stay valid.
-  bool use_match_index = true;
 };
 
 // Same positional-initializer guard as ServiceStats: every member carries
 // an explicit default, so `QueryServiceOptions{}` is always the documented
 // configuration and a mid-struct insertion fails here instead of silently
 // reconfiguring brace-initialized call sites.
-static_assert(FieldCount<QueryServiceOptions>() == 14,
+static_assert(FieldCount<QueryServiceOptions>() == 13,
               "QueryServiceOptions changed shape: append fields at the end, "
               "audit brace initializers, then update this count");
 
@@ -155,9 +146,15 @@ static_assert(FieldCount<QueryServiceOptions>() == 14,
 /// docs/observability.md for the instrument catalog) and leaves a
 /// stage-by-stage RequestTrace in a bounded ring of recent traces.
 ///
-/// Thread-safe; the database must outlive the service. If the database is
-/// mutated between requests (e.g. VqiMaintainer batches), call
-/// InvalidateCache() afterwards so cached match counts cannot go stale.
+/// kMatchCount requests run through the per-graph MatchIndex (CSR adjacency
+/// + candidate index, see docs/matching.md), built lazily per target graph
+/// and revalidated against GraphDatabase::ContentVersion.
+///
+/// Thread-safe; the database must outlive the service and may only be
+/// mutated between requests (e.g. VqiMaintainer batches). Cache keys embed
+/// the database versions each result depends on, and the suggestion index is
+/// rebuilt when the collection version moves, so no result outlives the data
+/// it was computed from — there is nothing to call after a mutation.
 class QueryService {
  public:
   explicit QueryService(const GraphDatabase& db,
@@ -179,20 +176,13 @@ class QueryService {
   /// Counters + latency percentiles over everything served so far.
   ServiceStats Snapshot() const;
 
-  /// Invalidates every cached result by bumping the cache-key epoch: stale
-  /// entries become unreachable immediately and age out via LRU. Cheap
-  /// (no locks, no scan); call after any database mutation, e.g. from a
-  /// VqiMaintainer batch listener. In-flight coalesced waiters whose key
-  /// changes detach at fan-out and re-execute against fresh data.
+  /// Flushes every cached result by bumping the cache-key epoch: entries
+  /// become unreachable immediately and age out via LRU. Cheap (no locks, no
+  /// scan). Never needed for freshness — keys already follow the database
+  /// versions — it only forces misses, e.g. for a cold-cache measurement.
+  /// In-flight coalesced waiters whose key changes detach at fan-out and
+  /// re-execute.
   void InvalidateCache();
-
-  /// Invalidates only the cached results that could depend on `graph_id`:
-  /// single-target entries for that graph, explicit target-set entries whose
-  /// set contains it, plus every whole-collection (kAllGraphs) and
-  /// suggestion entry. Entries whose target (set) does not involve the graph
-  /// survive, so a maintenance batch that touches one graph no longer
-  /// cold-starts the whole cache.
-  void InvalidateCacheKey(GraphId graph_id);
 
   /// The service's instrument registry (counters, gauges, histograms):
   /// the external one when QueryServiceOptions::metrics was set, otherwise
@@ -234,17 +224,12 @@ class QueryService {
   /// degrades to a miss (the cache is an optimization, never a failure
   /// source).
   std::optional<QueryResult> ProbeCache(const std::string& key);
-  /// Epoch of one target graph's cached entries (see InvalidateCacheKey).
-  /// Takes graph_epochs_mutex_ itself; must not be called with it held.
-  uint64_t GraphEpoch(GraphId graph_id) const
-      VQLIB_EXCLUDES(graph_epochs_mutex_);
   /// Cache/coalescing key, or "" when the request is uncacheable (pattern
   /// too large for canonicalization, or both the cache and coalescing are
-  /// disabled). The key embeds every epoch the result depends on, so an
-  /// invalidation reroutes lookups *and* lets fan-out detect stale waiters
-  /// by recomputing the key.
-  std::string CacheKey(const QueryRequest& request) const
-      VQLIB_EXCLUDES(graph_epochs_mutex_);
+  /// disabled). The key embeds the flush epoch and every database version
+  /// the result depends on, so a flush or a mutation reroutes lookups *and*
+  /// lets fan-out detect stale waiters by recomputing the key.
+  std::string CacheKey(const QueryRequest& request) const;
   /// Enqueues the worker-side task for `request` (dequeue re-probe, execute,
   /// cache insert, fan-out when `lead`, completion recording). On a failed
   /// enqueue the leader's in-flight entry is aborted.
@@ -281,7 +266,16 @@ class QueryService {
   // The registry in use: options_.metrics when provided, else &metrics_.
   obs::MetricsRegistry* registry_;
   obs::TraceRecorder traces_;
-  SuggestionIndex suggestions_;
+  /// The suggestion index and the GraphDatabase::Version() it was built at.
+  /// RunSuggest rebuilds it outside the lock when the version has moved and
+  /// publishes the new one by swapping the pointer.
+  struct VersionedSuggestions {
+    uint64_t version = 0;
+    SuggestionIndex index;
+  };
+  Mutex suggestions_mutex_;
+  std::shared_ptr<const VersionedSuggestions> suggestions_
+      VQLIB_GUARDED_BY(suggestions_mutex_);
   ShardedLruCache<QueryResult> cache_;
   // Declared before pool_: leader tasks running during pool shutdown still
   // fan out through the table and the budget.
@@ -292,15 +286,6 @@ class QueryService {
   std::atomic<uint64_t> cache_epoch_{0};
   std::atomic<uint64_t> next_trace_id_{0};
 
-  // Per-graph cache epochs for InvalidateCacheKey. all_graphs_epoch_ covers
-  // entries that depend on the entire collection (kAllGraphs matches and
-  // suggestions); graph_epochs_ holds only graphs that were individually
-  // invalidated (absent = epoch 0).
-  std::atomic<uint64_t> all_graphs_epoch_{0};
-  mutable Mutex graph_epochs_mutex_;
-  std::unordered_map<GraphId, uint64_t> graph_epochs_
-      VQLIB_GUARDED_BY(graph_epochs_mutex_);
-
   // Instrument handles resolved once in the constructor.
   obs::Counter* admitted_total_;
   obs::Counter* completed_total_;
@@ -310,7 +295,6 @@ class QueryService {
   obs::Counter* deadline_exceeded_total_;
   obs::Counter* truncated_total_;
   obs::Counter* cache_invalidations_total_;
-  obs::Counter* cache_key_invalidations_total_;
   obs::Counter* cache_probe_faults_total_;
   obs::Counter* backend_executions_total_;
   obs::Counter* match_steps_total_;

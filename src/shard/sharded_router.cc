@@ -184,19 +184,6 @@ void ShardedRouter::Shutdown() {
   for (auto& shard : shards_) shard->Shutdown();
 }
 
-void ShardedRouter::InvalidateCacheKey(GraphId graph_id) {
-  const size_t owner = map_.OwnerOf(graph_id);
-  if (owner == ShardMap::kNoShard) return;
-  // Per-shard collection epochs: only the owner's kAllGraphs / suggestion
-  // entries depend on this graph, so the other shards' caches stay warm —
-  // but EVERY replica of the owner must drop the stale epoch, or a
-  // subsequent read balanced onto an unbumped sibling would serve stale
-  // data.
-  for (size_t r = 0; r < map_.num_replicas(); ++r) {
-    shards_[Slot(owner, r)]->InvalidateCacheKey(graph_id);
-  }
-}
-
 void ShardedRouter::InvalidateCache() {
   for (auto& shard : shards_) shard->InvalidateCache();
 }

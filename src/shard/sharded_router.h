@@ -122,10 +122,9 @@ struct RouterStats {
 
 /// Scatter-gather router over N shards x R replicas of independent
 /// QueryServices — the "millions of users" step: throughput scales with
-/// shards instead of one mutex domain, every shard owns the cache epochs of
-/// its member graphs, and with R > 1 a sick *replica* is distinguishable
-/// from sick *data*: reads balance across healthy replicas and fail over off
-/// a dark one instead of degrading the answer.
+/// shards instead of one mutex domain, and with R > 1 a sick *replica* is
+/// distinguishable from sick *data*: reads balance across healthy replicas
+/// and fail over off a dark one instead of degrading the answer.
 ///
 /// Construction partitions the graph collection deterministically (ShardMap)
 /// and builds R full copies of each shard's slice; each replica gets its own
@@ -160,13 +159,9 @@ class ShardedRouter {
   /// Routes, scatters, gathers, and merges. Blocking; call from any thread.
   QueryResult Execute(QueryRequest request);
 
-  /// Routes the per-graph invalidation to every replica of the owning shard
-  /// (no replica may serve a stale epoch); the other shards'
-  /// whole-collection (kAllGraphs) cache entries survive, closing the
-  /// single-service limitation where any graph update evicted every
-  /// collection-scoped entry. Unknown ids are a no-op.
-  void InvalidateCacheKey(GraphId graph_id);
-  /// Full epoch bump on every replica of every shard.
+  /// Flushes the result cache of every replica of every shard (see
+  /// QueryService::InvalidateCache; the replicas' copies never change, so
+  /// this only forces misses).
   void InvalidateCache();
 
   /// Safe to call at any time, including concurrently with Execute():

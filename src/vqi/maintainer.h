@@ -28,11 +28,11 @@ class VqiMaintainer {
                                          const LabelDictionary* dict = nullptr);
 
   /// Registers `listener` to run after every successfully applied batch,
-  /// once the database and panels reflect the update. Serving layers hook
-  /// their cache invalidation here (e.g. QueryService::InvalidateCache) so
-  /// maintenance can never leave stale match counts being served. Listeners
-  /// run on the ApplyBatch caller's thread, in registration order; they must
-  /// not call back into this maintainer.
+  /// once the database and panels reflect the update. Serving freshness does
+  /// not depend on it: QueryService keys its caches by the database's
+  /// content versions, which every batch moves. Listeners run on the
+  /// ApplyBatch caller's thread, in registration order; they must not call
+  /// back into this maintainer.
   void AddBatchListener(std::function<void()> listener);
 
   const MidasState& state() const { return state_; }

@@ -419,10 +419,10 @@ TEST(CoalesceTest, MidFlightInvalidationDetachesWaiters) {
     waiters.push_back(std::move(submitted).value());
   }
 
-  // The burst targets graph 0, and this bumps graph 0's epoch while the
-  // leader is still parked behind the gate: at fan-out every waiter's
-  // recomputed key differs from the entry key, so both detach.
-  service.InvalidateCacheKey(0);
+  // This bumps the flush epoch while the leader is still parked behind the
+  // gate: at fan-out every waiter's recomputed key differs from the entry
+  // key, so both detach.
+  service.InvalidateCache();
 
   QueryResult leader_result = leader.value().get();
   ASSERT_TRUE(leader_result.status.ok());
@@ -546,9 +546,7 @@ TEST(CoalesceStressTest, ManyThreadsFewKeysResolveCorrectly) {
         }
         // Racing invalidations force mid-flight detaches; the data never
         // changes, so answers must not either.
-        if (t == 0 && i % 16 == 0) {
-          service.InvalidateCacheKey(static_cast<GraphId>(i % 3));
-        }
+        if (t == 0 && i % 16 == 0) service.InvalidateCache();
       }
     });
   }

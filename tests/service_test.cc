@@ -8,6 +8,7 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/mutex.h"
@@ -47,7 +48,6 @@ TEST(AggregateDefaultsTest, ZeroArgBraceInitIsTheDocumentedConfiguration) {
   EXPECT_DOUBLE_EQ(options.coalesce_retry_capacity, 8.0);
   EXPECT_EQ(options.metrics, nullptr);
   EXPECT_TRUE(options.metric_labels.empty());
-  EXPECT_TRUE(options.use_match_index);
 
   ServiceStats stats{};
   EXPECT_EQ(stats.admitted, 0u);
@@ -216,6 +216,15 @@ Graph EdgePattern() {
   p.AddVertex(1);
   p.AddEdge(0, 1);
   return p;
+}
+
+// The maintainer's edit path on one graph: remove it and add it back under
+// the same id. Its content version and the collection version move, and no
+// answer changes.
+void RewriteGraph(GraphDatabase& db, GraphId id) {
+  Graph copy = db.Get(id);
+  ASSERT_TRUE(db.Remove(id));
+  db.Add(std::move(copy));
 }
 
 // A pattern whose exhaustive enumeration on a dense target takes far longer
@@ -443,7 +452,7 @@ TEST(QueryServiceTest, InvalidateCacheForcesRecompute) {
             1u);
 }
 
-TEST(QueryServiceTest, InvalidateCacheKeyOnlyEvictsDependentEntries) {
+TEST(QueryServiceTest, GraphRewriteOnlyMissesDependentEntries) {
   GraphDatabase db = MakeDatabase();
   QueryService service(db, QueryServiceOptions{2, 32, 64, 4, {}});
 
@@ -463,20 +472,16 @@ TEST(QueryServiceTest, InvalidateCacheKeyOnlyEvictsDependentEntries) {
   ASSERT_TRUE(service.Execute(target_request(1)).from_cache);
   ASSERT_TRUE(service.Execute(all_graphs).from_cache);
 
-  service.InvalidateCacheKey(0);
+  RewriteGraph(db, 0);
 
   // Entries that could depend on graph 0 recompute; graph 1's entry survives.
   EXPECT_FALSE(service.Execute(target_request(0)).from_cache);
   EXPECT_FALSE(service.Execute(all_graphs).from_cache);
   EXPECT_TRUE(service.Execute(target_request(1)).from_cache);
-  // And the new epochs cache normally again.
+  // And the new versions cache normally again.
   EXPECT_TRUE(service.Execute(target_request(0)).from_cache);
   EXPECT_TRUE(service.Execute(all_graphs).from_cache);
-  EXPECT_EQ(service.metrics()
-                .GetCounter("vqi_cache_key_invalidations_total")
-                .Value(),
-            1u);
-  // The full invalidation epoch was untouched.
+  // No flush was needed for any of it.
   EXPECT_EQ(service.metrics()
                 .GetCounter("vqi_cache_invalidations_total")
                 .Value(),
@@ -516,7 +521,7 @@ TEST(QueryServiceTest, TargetSetMatchesExactlyThoseGraphs) {
             StatusCode::kNotFound);
 }
 
-TEST(QueryServiceTest, InvalidateCacheKeyEvictsOnlyTargetSetsContainingGraph) {
+TEST(QueryServiceTest, GraphRewriteMissesOnlyTargetSetsContainingGraph) {
   GraphDatabase db = MakeDatabase();
   QueryService service(db, QueryServiceOptions{2, 32, 64, 4, {}});
 
@@ -531,51 +536,14 @@ TEST(QueryServiceTest, InvalidateCacheKeyEvictsOnlyTargetSetsContainingGraph) {
   ASSERT_TRUE(service.Execute(collection_request({0, 1})).from_cache);
   ASSERT_TRUE(service.Execute(collection_request({1, 2})).from_cache);
 
-  service.InvalidateCacheKey(0);
+  RewriteGraph(db, 0);
 
-  // Only the set containing graph 0 recomputes; {1,2} is keyed by epochs of
-  // graphs the invalidation never touched.
+  // Only the set containing graph 0 recomputes; {1,2} is keyed by versions
+  // of graphs the rewrite never touched.
   EXPECT_FALSE(service.Execute(collection_request({0, 1})).from_cache);
   EXPECT_TRUE(service.Execute(collection_request({1, 2})).from_cache);
-  // And the refreshed entry caches normally under the new epoch.
+  // And the refreshed entry caches normally under the new version.
   EXPECT_TRUE(service.Execute(collection_request({0, 1})).from_cache);
-}
-
-// Sharded counterpart of the selective-eviction tests above: each shard owns
-// the cache epochs of its member graphs, so invalidating one graph evicts
-// only the owner shard's whole-collection entry — the other shard keeps
-// serving its (unchanged) slice from cache. A single service would have had
-// to recompute the entire collection.
-TEST(QueryServiceTest, ShardedInvalidationIsScopedToTheOwnerShard) {
-  GraphDatabase db = MakeDatabase();  // 3 graphs -> round-robin 2/1
-  shard::ShardedRouterOptions options;
-  options.num_shards = 2;
-  options.shard_options = QueryServiceOptions{2, 32, 64, 4, {}};
-  shard::ShardedRouter router(db, options);
-
-  QueryRequest all_graphs;
-  all_graphs.pattern = EdgePattern();
-  ASSERT_TRUE(router.Execute(all_graphs).status.ok());
-  // Both shards' legs now serve from cache, so the merge is from_cache.
-  ASSERT_TRUE(router.Execute(all_graphs).from_cache);
-
-  // Graph 1 lives on shard 1 under round-robin placement.
-  ASSERT_EQ(router.shard_map().OwnerOf(1), 1u);
-  router.InvalidateCacheKey(1);
-
-  // The merged result recomputes (shard 1's leg missed)...
-  EXPECT_FALSE(router.Execute(all_graphs).from_cache);
-  EXPECT_TRUE(router.Execute(all_graphs).from_cache);
-  // ...but shard 0 never saw an invalidation and kept its entry: it served
-  // every one of the three fan-outs after the first from cache. (A computed
-  // request counts two misses — the double-checked probe at admission and in
-  // the worker both miss.)
-  router.Shutdown();
-  EXPECT_EQ(router.shard(0).Snapshot().cache_hits, 3u);
-  EXPECT_EQ(router.shard(0).Snapshot().cache_misses, 2u);
-  // Shard 1 recomputed once after the eviction.
-  EXPECT_EQ(router.shard(1).Snapshot().cache_misses, 4u);
-  EXPECT_EQ(router.shard(1).Snapshot().cache_hits, 2u);
 }
 
 TEST(QueryServiceTest, MaintainerBatchListenerInvalidatesCache) {
@@ -626,6 +594,99 @@ TEST(QueryServiceTest, MaintainerBatchListenerInvalidatesCache) {
             1u);
 }
 
+// No listener is wired: a maintainer batch alone must keep every kind of
+// cached answer fresh, because each cache key embeds the database versions
+// the answer depends on and the suggestion index follows the collection
+// version. Entries over untouched graphs keep serving from cache.
+TEST(QueryServiceTest, StaysFreshWithoutABatchListener) {
+  GraphDatabase db = gen::MoleculeDatabase(50, gen::MoleculeConfig{}, 45);
+  CatapultConfig config;
+  config.budget = 4;
+  config.num_clusters = 4;
+  config.tree_config.min_support = 4;
+  config.walks_per_csg = 16;
+  config.use_closed_trees = true;
+  auto built = BuildVqiForDatabase(db, config);
+  ASSERT_TRUE(built.ok());
+  VisualQueryInterface vqi = std::move(built->vqi);
+  MidasConfig midas;
+  midas.base = config;
+  midas.drift_threshold = 0.0;
+  VqiMaintainer maintainer(std::move(built->catapult_state), midas);
+
+  constexpr GraphId kRewritten = 3;
+  constexpr GraphId kUntouched = 10;
+  // A one-edge pattern copied from the rewritten graph, so it embeds there.
+  const Graph& source = db.Get(kRewritten);
+  const Edge edge = source.Edges().front();
+  Graph pattern;
+  pattern.AddVertex(source.VertexLabel(edge.u));
+  pattern.AddVertex(source.VertexLabel(edge.v));
+  pattern.AddEdge(0, 1, edge.label);
+
+  auto match = [&pattern](GraphId target, std::vector<GraphId> targets) {
+    QueryRequest request;
+    request.pattern = pattern;
+    request.target = target;
+    request.targets = std::move(targets);
+    return request;
+  };
+  QueryRequest suggest;
+  suggest.kind = QueryKind::kSuggest;
+  suggest.pattern = pattern;
+  suggest.top_k = 5;
+  const std::vector<QueryRequest> dependent = {
+      match(kAllGraphs, {}), match(kRewritten, {}),
+      match(kAllGraphs, {kRewritten, kUntouched, 20}), suggest};
+  const QueryRequest untouched = match(kUntouched, {});
+
+  QueryService service(db, QueryServiceOptions{2, 32, 64, 4, {}});
+  for (const QueryRequest& request : dependent) {
+    ASSERT_TRUE(service.Execute(request).status.ok());
+    ASSERT_TRUE(service.Execute(request).from_cache);
+  }
+  ASSERT_TRUE(service.Execute(untouched).status.ok());
+  ASSERT_TRUE(service.Execute(untouched).from_cache);
+
+  // The batch rewrites graph 3 under its id, deletes three graphs and adds
+  // eight, so every dependent answer is computed over different data.
+  BatchUpdate update;
+  Rng rng(46);
+  Graph replacement = gen::Molecule(gen::MoleculeConfig{}, rng);
+  replacement.set_id(kRewritten);
+  update.additions.push_back(std::move(replacement));
+  for (int i = 0; i < 8; ++i) {
+    update.additions.push_back(gen::Molecule(gen::MoleculeConfig{}, rng));
+  }
+  update.deletions = {kRewritten, 0, 1, 2};
+  auto report = maintainer.ApplyBatch(vqi, db, std::move(update));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  QueryService fresh(db, QueryServiceOptions{2, 32, 64, 4, {}});
+  for (size_t i = 0; i < dependent.size(); ++i) {
+    QueryResult got = service.Execute(dependent[i]);
+    QueryResult want = fresh.Execute(dependent[i]);
+    ASSERT_TRUE(got.status.ok()) << "request " << i;
+    ASSERT_TRUE(want.status.ok()) << "request " << i;
+    EXPECT_FALSE(got.from_cache) << "request " << i << " served stale";
+    EXPECT_EQ(got.embedding_count, want.embedding_count) << "request " << i;
+    EXPECT_EQ(got.matched_graphs, want.matched_graphs) << "request " << i;
+    ASSERT_EQ(got.suggestions.size(), want.suggestions.size());
+    for (size_t r = 0; r < want.suggestions.size(); ++r) {
+      const EdgeSuggestion& a = got.suggestions[r];
+      const EdgeSuggestion& b = want.suggestions[r];
+      EXPECT_EQ(std::tie(a.from_label, a.edge_label, a.to_label, a.support),
+                std::tie(b.from_label, b.edge_label, b.to_label, b.support))
+          << "request " << i << " rank " << r;
+    }
+  }
+  EXPECT_TRUE(service.Execute(untouched).from_cache);
+  EXPECT_EQ(service.metrics()
+                .GetCounter("vqi_cache_invalidations_total")
+                .Value(),
+            0u);
+}
+
 TEST(QueryServiceTest, MaintainerBatchRebuildsOwnerGraphMatchIndex) {
   // End-to-end index invalidation: a maintainer batch that rewrites one
   // graph's edge set (delete + re-add under the same id) must force the
@@ -657,8 +718,7 @@ TEST(QueryServiceTest, MaintainerBatchRebuildsOwnerGraphMatchIndex) {
   midas.drift_threshold = 0.0;
   VqiMaintainer maintainer(std::move(built->catapult_state), midas);
 
-  QueryService service(db);  // defaults: use_match_index on
-  maintainer.AddBatchListener([&service] { service.InvalidateCache(); });
+  QueryService service(db);
 
   QueryRequest request;
   request.pattern.AddVertex(0);
@@ -701,11 +761,10 @@ TEST(QueryServiceTest, MaintainerBatchRebuildsOwnerGraphMatchIndex) {
 TEST(ShardedRouterTest, ShardIndexesStayConsistentAcrossEpochInvalidation) {
   // The sharded path of the same story. Replicas snapshot their slices at
   // construction, so index and data can never disagree inside a shard; the
-  // per-shard epoch machinery governs result caches only. Assert (a)
-  // epoch invalidation forces a recount that reuses every index (content
-  // versions unchanged inside the shard copies), and (b) after a
-  // collection-level rewrite, a router over the updated database agrees
-  // exactly with a fresh unsharded service.
+  // flush epoch governs result caches only. Assert (a) a flush forces a
+  // recount that reuses every index (content versions unchanged inside the
+  // shard copies), and (b) after a collection-level rewrite, a router over
+  // the updated database agrees exactly with a fresh unsharded service.
   GraphDatabase db;
   Graph p4;
   for (int i = 0; i < 4; ++i) p4.AddVertex(0);
@@ -756,10 +815,10 @@ TEST(ShardedRouterTest, ShardIndexesStayConsistentAcrossEpochInvalidation) {
   // Every member got indexed exactly once on the scatter.
   EXPECT_EQ(total_builds(), db.size());
 
-  // Per-shard epoch bump: the owner shard recounts (its collection-scoped
-  // cache entry is gone) but rebuilds nothing — the content versions inside
-  // its snapshot never moved, so every index is reused.
-  router.InvalidateCacheKey(victim);
+  // Flush: every shard recounts (its collection-scoped cache entry is
+  // gone) but rebuilds nothing — the content versions inside its snapshot
+  // never moved, so every index is reused.
+  router.InvalidateCache();
   QueryResult again = router.Execute(request);
   ASSERT_TRUE(again.status.ok());
   EXPECT_EQ(again.embedding_count, before.embedding_count);
