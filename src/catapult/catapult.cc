@@ -14,11 +14,13 @@ namespace vqi {
 std::vector<ScoredCandidate> ScoreCandidates(const GraphDatabase& db,
                                              std::vector<Graph> candidates,
                                              const CognitiveLoadModel& model) {
+  std::vector<Bitset> coverage = CoverageBitsOfEach(db, candidates);
   std::vector<ScoredCandidate> scored;
   scored.reserve(candidates.size());
-  for (Graph& pattern : candidates) {
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    Graph& pattern = candidates[i];
     ScoredCandidate c;
-    c.coverage = CoverageBits(db, pattern);
+    c.coverage = std::move(coverage[i]);
     c.feature = PatternStructureFeature(pattern);
     c.load = CognitiveLoad(pattern, model);
     c.pattern = std::move(pattern);

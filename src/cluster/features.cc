@@ -1,6 +1,7 @@
 #include "cluster/features.h"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_map>
 
 #include "match/vf2.h"
@@ -28,8 +29,10 @@ std::vector<FeatureVector> TreeFeatures(
 FeatureVector TreeFeatureOf(const Graph& g,
                             const std::vector<FrequentTree>& basis) {
   FeatureVector f(basis.size(), 0.0);
+  if (basis.empty()) return f;
+  std::shared_ptr<const MatchIndex> index = MatchIndex::Build(g);
   for (size_t dim = 0; dim < basis.size(); ++dim) {
-    if (ContainsSubgraph(g, basis[dim].tree)) f[dim] = 1.0;
+    if (SubgraphMatcher(basis[dim].tree, g, index).Exists()) f[dim] = 1.0;
   }
   return f;
 }

@@ -1,14 +1,12 @@
 #include "match/candidate_index.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <numeric>
-
-#include "truss/truss.h"
 
 namespace vqi {
 
-CandidateIndex CandidateIndex::Build(const Graph& g, const CsrGraph& csr,
-                                     const CandidateIndexOptions& options) {
+CandidateIndex CandidateIndex::Build(const CsrGraph& csr) {
   CandidateIndex index;
   const size_t n = csr.NumVertices();
 
@@ -27,21 +25,15 @@ CandidateIndex CandidateIndex::Build(const Graph& g, const CsrGraph& csr,
     index.repeat_signatures_[v] = repeat;
   }
 
-  // One pass groups vertices by label with degree-ascending runs; ties break
-  // by id so the bucket layout (and thus the indexed match order) is
-  // deterministic.
+  // Group vertices by label, keeping id order inside each run: anchorless
+  // search depths walk a run in the order a full vertex scan would.
   index.bucket_vertices_.resize(n);
   std::iota(index.bucket_vertices_.begin(), index.bucket_vertices_.end(), 0u);
-  std::sort(index.bucket_vertices_.begin(), index.bucket_vertices_.end(),
-            [&csr](VertexId a, VertexId b) {
-              Label la = csr.VertexLabel(a);
-              Label lb = csr.VertexLabel(b);
-              if (la != lb) return la < lb;
-              uint32_t da = csr.Degree(a);
-              uint32_t db = csr.Degree(b);
-              if (da != db) return da < db;
-              return a < b;
-            });
+  std::stable_sort(index.bucket_vertices_.begin(),
+                   index.bucket_vertices_.end(),
+                   [&csr](VertexId a, VertexId b) {
+                     return csr.VertexLabel(a) < csr.VertexLabel(b);
+                   });
   index.bucket_degrees_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     index.bucket_degrees_[i] = csr.Degree(index.bucket_vertices_[i]);
@@ -51,45 +43,39 @@ CandidateIndex CandidateIndex::Build(const Graph& g, const CsrGraph& csr,
     size_t j = i + 1;
     while (j < n && csr.VertexLabel(index.bucket_vertices_[j]) == label) ++j;
     index.buckets_[label] = {static_cast<uint32_t>(i), static_cast<uint32_t>(j)};
+    std::sort(index.bucket_degrees_.begin() + static_cast<ptrdiff_t>(i),
+              index.bucket_degrees_.begin() + static_cast<ptrdiff_t>(j));
     i = j;
-  }
-
-  if (options.use_truss && csr.NumEdges() > 0) {
-    TrussDecomposition truss = DecomposeTruss(g);
-    index.shells_.assign(n, 0);
-    for (VertexId v = 0; v < n; ++v) {
-      int shell = 0;
-      for (const Neighbor* nb = csr.NeighborsBegin(v);
-           nb != csr.NeighborsEnd(v); ++nb) {
-        shell = std::max(shell, truss.EdgeTrussness(v, nb->vertex));
-      }
-      index.shells_[v] = shell;
-    }
   }
   return index;
 }
 
-CandidateIndex::Range CandidateIndex::CandidatesForLabel(
-    Label label, uint32_t min_degree) const {
+CandidateIndex::Range CandidateIndex::VerticesWithLabel(Label label) const {
   auto it = buckets_.find(label);
   if (it == buckets_.end()) return {};
-  const uint32_t* deg_begin = bucket_degrees_.data() + it->second.first;
-  const uint32_t* deg_end = bucket_degrees_.data() + it->second.second;
-  const uint32_t* cut = std::lower_bound(deg_begin, deg_end, min_degree);
   const VertexId* base = bucket_vertices_.data();
-  return {base + (cut - bucket_degrees_.data()), base + it->second.second};
+  return {base + it->second.first, base + it->second.second};
 }
 
-std::shared_ptr<const MatchIndex> MatchIndex::Build(
-    const Graph& g, const CandidateIndexOptions& options) {
+size_t CandidateIndex::CountCandidates(Label label,
+                                       uint32_t min_degree) const {
+  auto it = buckets_.find(label);
+  if (it == buckets_.end()) return 0;
+  const uint32_t* deg_begin = bucket_degrees_.data() + it->second.first;
+  const uint32_t* deg_end = bucket_degrees_.data() + it->second.second;
+  return static_cast<size_t>(
+      deg_end - std::lower_bound(deg_begin, deg_end, min_degree));
+}
+
+std::shared_ptr<const MatchIndex> MatchIndex::Build(const Graph& g) {
   auto index = std::make_shared<MatchIndex>();
   index->csr = CsrGraph(g);
-  index->candidates = CandidateIndex::Build(g, index->csr, options);
+  index->candidates = CandidateIndex::Build(index->csr);
   return index;
 }
 
 std::shared_ptr<const MatchIndex> MatchIndexCache::Get(
-    const GraphDatabase& db, GraphId id, const CandidateIndexOptions& options) {
+    const GraphDatabase& db, GraphId id) {
   if (!db.Contains(id)) return nullptr;
   const uint64_t version = db.ContentVersion(id);
   {
@@ -100,9 +86,9 @@ std::shared_ptr<const MatchIndex> MatchIndexCache::Get(
       return it->second.index;
     }
   }
-  // Build outside the lock: index construction is O(n + m + truss) and must
+  // Build outside the lock: index construction is O(n log n + m) and must
   // not serialize readers of other graphs.
-  std::shared_ptr<const MatchIndex> built = MatchIndex::Build(db.Get(id), options);
+  std::shared_ptr<const MatchIndex> built = MatchIndex::Build(db.Get(id));
   builds_.fetch_add(1, std::memory_order_relaxed);
   {
     MutexLock lock(&mutex_);

@@ -17,25 +17,17 @@
 
 namespace vqi {
 
-struct CandidateIndexOptions {
-  /// Compute k-truss vertex shells (TATTOO's structure-aware split applied as
-  /// a matcher filter): shell(v) = max trussness over v's incident edges. A
-  /// pattern vertex embedded at v needs shell_pattern(u) <= shell_target(v),
-  /// because trussness is monotone under supergraphs — so the filter is sound
-  /// for plain and induced matching alike, labels or not.
-  bool use_truss = true;
-};
-
-/// Per-graph candidate index for the matcher: vertex-label buckets sorted
-/// ascending by degree (so a min-degree cutoff is one lower_bound), 64-bit
-/// neighborhood label signatures, and optional truss shells. All filters are
-/// prune-only: they may only reject vertices that cannot appear in any
-/// embedding (tests/match_test.cc proves soundness against brute force).
+/// Per-graph candidate index for the matcher: vertex-label buckets in
+/// vertex-id order (the order the search visits anchorless candidates in),
+/// each label's degrees sorted ascending (so the seeding heuristic's
+/// candidate count is one lower_bound), and 64-bit neighborhood label
+/// signatures. Every filter is prune-only: it may only reject vertices that
+/// cannot appear in any embedding (tests/match_test.cc checks soundness
+/// against the legacy search in tests/vf2_oracle.h).
 class CandidateIndex {
  public:
-  /// Builds the index for `g`; `csr` must be a CSR view of the same graph.
-  static CandidateIndex Build(const Graph& g, const CsrGraph& csr,
-                              const CandidateIndexOptions& options = {});
+  /// Builds the index over a CSR view of the graph.
+  static CandidateIndex Build(const CsrGraph& csr);
 
   /// Bit for one vertex label in a 64-bit neighborhood signature. Labels are
   /// folded mod 64, so the subset test below is conservative (never prunes a
@@ -51,16 +43,17 @@ class CandidateIndex {
     return (pattern_sig & ~target_sig) == 0;
   }
 
-  /// Contiguous run of target vertices, degree-ascending.
+  /// Contiguous run of target vertices, id-ascending.
   struct Range {
     const VertexId* begin = nullptr;
     const VertexId* end = nullptr;
-    size_t size() const { return static_cast<size_t>(end - begin); }
   };
 
-  /// Vertices labeled `label` with degree >= `min_degree` (degree-ascending;
-  /// empty range when the label does not occur).
-  Range CandidatesForLabel(Label label, uint32_t min_degree) const;
+  /// Vertices labeled `label` (empty range when the label does not occur).
+  Range VerticesWithLabel(Label label) const;
+
+  /// Number of vertices labeled `label` with degree >= `min_degree`.
+  size_t CountCandidates(Label label, uint32_t min_degree) const;
 
   /// OR of LabelBit over v's neighbors' vertex labels.
   uint64_t NeighborhoodSignature(VertexId v) const { return signatures_[v]; }
@@ -76,19 +69,13 @@ class CandidateIndex {
     return repeat_signatures_[v];
   }
 
-  bool has_truss() const { return !shells_.empty(); }
-
-  /// Max trussness over v's incident edges; 0 for isolated vertices. Only
-  /// meaningful when has_truss().
-  int Shell(VertexId v) const { return shells_[v]; }
-
  private:
-  std::vector<VertexId> bucket_vertices_;  // grouped by label, degree-asc
-  std::vector<uint32_t> bucket_degrees_;   // parallel to bucket_vertices_
+  // Both arrays are grouped by label into the same [begin, end) runs.
+  std::vector<VertexId> bucket_vertices_;  // id-ascending within a run
+  std::vector<uint32_t> bucket_degrees_;   // degree-ascending within a run
   std::unordered_map<Label, std::pair<uint32_t, uint32_t>> buckets_;
   std::vector<uint64_t> signatures_;
   std::vector<uint64_t> repeat_signatures_;
-  std::vector<int> shells_;  // empty when truss shells are disabled
 };
 
 /// The unit the serving layer caches per graph: a CSR snapshot plus its
@@ -97,8 +84,7 @@ struct MatchIndex {
   CsrGraph csr;
   CandidateIndex candidates;
 
-  static std::shared_ptr<const MatchIndex> Build(
-      const Graph& g, const CandidateIndexOptions& options = {});
+  static std::shared_ptr<const MatchIndex> Build(const Graph& g);
 };
 
 /// Thread-safe lazy cache of MatchIndex per graph id, validated against
@@ -110,8 +96,7 @@ class MatchIndexCache {
  public:
   /// The current index for `id`, building it if missing or out of date.
   /// Returns nullptr when `db` does not contain `id`.
-  std::shared_ptr<const MatchIndex> Get(const GraphDatabase& db, GraphId id,
-                                        const CandidateIndexOptions& options = {});
+  std::shared_ptr<const MatchIndex> Get(const GraphDatabase& db, GraphId id);
 
   /// Total index builds since construction (serving-layer observability).
   uint64_t builds() const { return builds_.load(std::memory_order_relaxed); }

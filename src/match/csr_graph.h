@@ -13,8 +13,8 @@ namespace vqi {
 /// Immutable compressed-sparse-row view of a Graph: one offsets array plus a
 /// single contiguous neighbor/edge-label array, so the matcher's inner loops
 /// walk flat memory instead of chasing per-vertex vector headers. Rows keep
-/// the source graph's sorted-by-neighbor-id order, which is what makes the
-/// legacy matcher over CSR step-identical to the old pointer-based code (the
+/// the source graph's sorted-by-neighbor-id order, so the matcher visits
+/// anchor neighbours in the order of a plain adjacency scan (the
 /// differential harness in tests/differential_test.cc relies on this).
 class CsrGraph {
  public:

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "truss/truss.h"
 
 namespace vqi {
 
@@ -15,27 +14,15 @@ SubgraphMatcher::SubgraphMatcher(const Graph& pattern, const Graph& target,
 SubgraphMatcher::SubgraphMatcher(const Graph& pattern, const Graph& target,
                                  std::shared_ptr<const MatchIndex> index,
                                  MatchOptions options)
-    : pattern_(pattern),
-      target_(target),
-      options_(options),
+    : options_(options),
       pattern_csr_(pattern),
-      index_(std::move(index)) {
-  if (options_.use_index && index_ == nullptr) {
-    index_ = MatchIndex::Build(target_);
-  }
-  if (index_ != nullptr) {
-    tcsr_ = &index_->csr;
-  } else {
-    owned_target_csr_ = CsrGraph(target_);
-    tcsr_ = &owned_target_csr_;
-  }
-  candidates_ =
-      (options_.use_index && index_ != nullptr) ? &index_->candidates : nullptr;
+      index_(index != nullptr ? std::move(index) : MatchIndex::Build(target)),
+      tcsr_(&index_->csr),
+      candidates_(&index_->candidates) {
   // Label-bucket seeding and signature subsumption compare labels exactly, so
   // they are only sound when vertex labels are matched and dummies are not
-  // wildcards; degree and truss filters are structural and always sound.
-  label_filters_ = candidates_ != nullptr && options_.match_vertex_labels &&
-                   !options_.dummy_is_wildcard;
+  // wildcards; the degree filter is structural and always sound.
+  label_filters_ = options_.match_vertex_labels && !options_.dummy_is_wildcard;
 
   const size_t n = pattern_csr_.NumVertices();
   pattern_degree_.resize(n);
@@ -57,21 +44,8 @@ SubgraphMatcher::SubgraphMatcher(const Graph& pattern, const Graph& target,
       pattern_repeat_sig_[v] = repeat;
     }
   }
-  if (candidates_ != nullptr && candidates_->has_truss() &&
-      pattern_csr_.NumEdges() > 0) {
-    TrussDecomposition truss = DecomposeTruss(pattern_);
-    pattern_shell_.assign(n, 0);
-    for (VertexId v = 0; v < n; ++v) {
-      int shell = 0;
-      for (const Neighbor* nb = pattern_csr_.NeighborsBegin(v);
-           nb != pattern_csr_.NeighborsEnd(v); ++nb) {
-        shell = std::max(shell, truss.EdgeTrussness(v, nb->vertex));
-      }
-      pattern_shell_[v] = shell;
-    }
-  }
   mapping_.assign(n, kUnmapped);
-  used_.assign(target_.NumVertices(), false);
+  used_.assign(tcsr_->NumVertices(), false);
   ComputeOrder();
 }
 
@@ -84,42 +58,22 @@ void SubgraphMatcher::ComputeOrder() {
   std::vector<bool> placed(n, false);
   VertexId start = 0;
   // Seed from the rarest pattern vertex: the one with the fewest viable
-  // target candidates |{tv : label(tv) == label(v), deg(tv) >= deg(v)}|.
-  // Ties prefer higher degree (a stronger anchor for the rest of the order),
-  // then lower id for determinism. Both engines compute the SAME number —
-  // the indexed path reads it off the label buckets, the oracle counts by a
-  // direct scan — so the match order never depends on use_index. That
-  // invariant is what makes "indexed steps <= legacy steps" a theorem: with
-  // identical orders the indexed search tree is a prune-only subset of the
-  // legacy tree (tests/differential_test.cc asserts it pairwise). When label
-  // seeding is unsound (wildcards, labels ignored) both engines fall back to
-  // the highest-degree start.
-  if (options_.match_vertex_labels && !options_.dummy_is_wildcard) {
-    std::vector<size_t> width(n, 0);
-    if (label_filters_) {
-      for (VertexId v = 0; v < n; ++v) {
-        width[v] = candidates_
-                       ->CandidatesForLabel(pattern_csr_.VertexLabel(v),
-                                            pattern_degree_[v])
-                       .size();
-      }
-    } else {
-      for (VertexId tv = 0; tv < tcsr_->NumVertices(); ++tv) {
-        for (VertexId v = 0; v < n; ++v) {
-          if (tcsr_->VertexLabel(tv) == pattern_csr_.VertexLabel(v) &&
-              tcsr_->Degree(tv) >= pattern_degree_[v]) {
-            ++width[v];
-          }
-        }
-      }
-    }
+  // target candidates |{tv : label(tv) == label(v), deg(tv) >= deg(v)}|,
+  // read off the index's per-label degree runs. Ties prefer higher degree (a
+  // stronger anchor for the rest of the order), then lower id for
+  // determinism. When label seeding is unsound (wildcards, labels ignored)
+  // the start is the highest-degree vertex. tests/vf2_oracle.h computes the
+  // same widths by a full scan, so both searches use one order.
+  if (label_filters_) {
     size_t best_width = std::numeric_limits<size_t>::max();
     for (VertexId v = 0; v < n; ++v) {
-      if (width[v] < best_width ||
-          (width[v] == best_width &&
+      size_t width = candidates_->CountCandidates(pattern_csr_.VertexLabel(v),
+                                                  pattern_degree_[v]);
+      if (width < best_width ||
+          (width == best_width &&
            pattern_degree_[v] > pattern_degree_[start])) {
         start = v;
-        best_width = width[v];
+        best_width = width;
       }
     }
   } else {
@@ -227,10 +181,6 @@ bool SubgraphMatcher::IndexAdmits(VertexId pu, VertexId tv) const {
       return false;
     }
   }
-  if (!pattern_shell_.empty() &&
-      candidates_->Shell(tv) < pattern_shell_[pu]) {
-    return false;
-  }
   return true;
 }
 
@@ -244,6 +194,9 @@ bool SubgraphMatcher::Recurse(
   // probe. The budget check precedes every increment and aborts immediately,
   // so for any budget B: hit_step_limit ⟺ (full-run steps > B), and the
   // run's prefix up to the abort is identical to the unbudgeted run.
+  // Candidates are visited in plain-scan order (anchor neighbours by id,
+  // anchorless depths by id within the label bucket), so an unfiltered
+  // search emits the same embeddings in the same sequence, only later.
   auto budget_ok = [&]() {
     if (options_.max_steps != 0 && steps_ >= options_.max_steps) {
       hit_step_limit_ = true;
@@ -277,34 +230,23 @@ bool SubgraphMatcher::Recurse(
   if (anchor >= 0) {
     // Candidates: target neighbors of the anchor's image.
     VertexId t_anchor = mapping_[order_[static_cast<size_t>(anchor)]];
-    if (candidates_ != nullptr) {
-      for (const Neighbor* nb = tcsr_->NeighborsBegin(t_anchor);
-           nb != tcsr_->NeighborsEnd(t_anchor); ++nb) {
-        if (!IndexAdmits(pu, nb->vertex)) continue;
-        if (!try_candidate(nb->vertex)) return false;
-      }
-    } else {
-      for (const Neighbor* nb = tcsr_->NeighborsBegin(t_anchor);
-           nb != tcsr_->NeighborsEnd(t_anchor); ++nb) {
-        if (!try_candidate(nb->vertex)) return false;
-      }
+    for (const Neighbor* nb = tcsr_->NeighborsBegin(t_anchor);
+         nb != tcsr_->NeighborsEnd(t_anchor); ++nb) {
+      if (!IndexAdmits(pu, nb->vertex)) continue;
+      if (!try_candidate(nb->vertex)) return false;
     }
   } else if (label_filters_) {
-    // Anchorless depth on the indexed path: the label bucket, restricted to
-    // degrees >= the pattern vertex's, replaces the full vertex scan.
-    CandidateIndex::Range range = candidates_->CandidatesForLabel(
-        pattern_csr_.VertexLabel(pu), pattern_degree_[pu]);
+    // Anchorless depth: the label bucket, in id order, replaces the full
+    // vertex scan.
+    CandidateIndex::Range range =
+        candidates_->VerticesWithLabel(pattern_csr_.VertexLabel(pu));
     for (const VertexId* tv = range.begin; tv != range.end; ++tv) {
       if (!IndexAdmits(pu, *tv)) continue;
       if (!try_candidate(*tv)) return false;
     }
-  } else if (candidates_ != nullptr) {
-    for (VertexId tv = 0; tv < tcsr_->NumVertices(); ++tv) {
-      if (!IndexAdmits(pu, tv)) continue;
-      if (!try_candidate(tv)) return false;
-    }
   } else {
     for (VertexId tv = 0; tv < tcsr_->NumVertices(); ++tv) {
+      if (!IndexAdmits(pu, tv)) continue;
       if (!try_candidate(tv)) return false;
     }
   }
@@ -312,9 +254,9 @@ bool SubgraphMatcher::Recurse(
 }
 
 bool SubgraphMatcher::Exists() {
-  if (pattern_.NumVertices() == 0) return true;
-  if (pattern_.NumVertices() > target_.NumVertices() ||
-      pattern_.NumEdges() > target_.NumEdges()) {
+  if (pattern_csr_.NumVertices() == 0) return true;
+  if (pattern_csr_.NumVertices() > tcsr_->NumVertices() ||
+      pattern_csr_.NumEdges() > tcsr_->NumEdges()) {
     return false;
   }
   uint64_t found = 0;
@@ -326,9 +268,9 @@ bool SubgraphMatcher::Exists() {
 
 std::optional<Embedding> SubgraphMatcher::FindOne() {
   std::optional<Embedding> result;
-  if (pattern_.NumVertices() == 0) return Embedding{};
-  if (pattern_.NumVertices() > target_.NumVertices() ||
-      pattern_.NumEdges() > target_.NumEdges()) {
+  if (pattern_csr_.NumVertices() == 0) return Embedding{};
+  if (pattern_csr_.NumVertices() > tcsr_->NumVertices() ||
+      pattern_csr_.NumEdges() > tcsr_->NumEdges()) {
     return std::nullopt;
   }
   uint64_t found = 0;
@@ -350,9 +292,9 @@ uint64_t SubgraphMatcher::CountEmbeddings() {
 
 uint64_t SubgraphMatcher::Enumerate(
     const std::function<bool(const Embedding&)>& callback) {
-  if (pattern_.NumVertices() == 0) return 0;
-  if (pattern_.NumVertices() > target_.NumVertices() ||
-      pattern_.NumEdges() > target_.NumEdges()) {
+  if (pattern_csr_.NumVertices() == 0) return 0;
+  if (pattern_csr_.NumVertices() > tcsr_->NumVertices() ||
+      pattern_csr_.NumEdges() > tcsr_->NumEdges()) {
     return 0;
   }
   uint64_t found = 0;

@@ -31,31 +31,31 @@ struct MatchOptions {
   /// Abort search after this many recursive steps (guards worst cases on
   /// large targets). 0 = unlimited.
   uint64_t max_steps = 0;
-  /// Run the index-driven candidate generation (label buckets, neighborhood
-  /// signature subsumption, truss shells) over the target's MatchIndex. The
-  /// default-off legacy path scans target adjacency directly and is the
-  /// differential-testing oracle (tests/differential_test.cc); both paths
-  /// return identical embedding sets. New field — keep appended so existing
-  /// aggregate initializers stay valid.
+  /// Ignored: every matcher runs over a MatchIndex. Kept only so callers
+  /// that still set it compile; nothing reads it.
   bool use_index = false;
 };
 
 /// An embedding maps pattern vertex i to Embedding[i] in the target.
 using Embedding = std::vector<VertexId>;
 
-/// VF2-style backtracking matcher for one (pattern, target) pair. Both paths
-/// (legacy oracle and indexed) traverse immutable CSR snapshots built at
-/// construction; the indexed path additionally seeds from the rarest-label
-/// pattern vertex and pre-filters extensions by degree, neighborhood label
-/// signatures, and truss shells before the full feasibility check.
+/// VF2-style backtracking matcher for one (pattern, target) pair over the
+/// target's MatchIndex. It seeds from the rarest-label pattern vertex and
+/// pre-filters extensions by degree and neighborhood label signatures before
+/// the full feasibility check. Candidates are visited in the order of a plain
+/// scan (anchor neighbours in adjacency order, anchorless depths in vertex-id
+/// order), so the filters only cut branches that hold no embedding and the
+/// embeddings come out in the sequence of the unfiltered search
+/// (tests/vf2_oracle.h, checked by tests/differential_test.cc).
 ///
 /// The pattern must be connected for meaningful candidate propagation; a
 /// disconnected pattern is matched component-by-component implicitly by
-/// falling back to full candidate scans, which is correct but slow.
+/// falling back to label-bucket scans, which is correct but slow.
 class SubgraphMatcher {
  public:
-  /// Both graphs must outlive the matcher. When options.use_index is set a
-  /// private MatchIndex is built for `target`.
+  /// Builds a private MatchIndex of `target`. Callers that match several
+  /// patterns against one target should build the index once and use the
+  /// constructor below.
   SubgraphMatcher(const Graph& pattern, const Graph& target,
                   MatchOptions options = {});
 
@@ -96,33 +96,28 @@ class SubgraphMatcher {
   /// unit max_steps budgets, exposed so callers (e.g. the query service's
   /// deadline slicing) can meter matcher work. Candidates rejected by the
   /// index's O(1) admission filters never cost a step, so the step count is
-  /// directly comparable between the indexed and legacy engines.
+  /// directly comparable with the unfiltered search in tests/vf2_oracle.h.
   uint64_t steps() const { return steps_; }
 
  private:
   void ComputeOrder();
   bool Feasible(VertexId pu, VertexId tv) const;
   /// Cheap prune-only index filters (degree, exact label, signature
-  /// subsumption, truss shell). Only called on the indexed path.
+  /// subsumption).
   bool IndexAdmits(VertexId pu, VertexId tv) const;
   bool Recurse(size_t depth, const std::function<bool(const Embedding&)>& cb,
                uint64_t* found);
 
-  const Graph& pattern_;
-  const Graph& target_;
   MatchOptions options_;
   CsrGraph pattern_csr_;                      // always owned; patterns are small
-  CsrGraph owned_target_csr_;                 // filled when no shared index
-  std::shared_ptr<const MatchIndex> index_;   // shared target index, may be null
-  const CsrGraph* tcsr_ = nullptr;            // target adjacency in use
-  const CandidateIndex* candidates_ = nullptr;  // non-null on the indexed path
+  std::shared_ptr<const MatchIndex> index_;   // never null
+  const CsrGraph* tcsr_ = nullptr;            // &index_->csr
+  const CandidateIndex* candidates_ = nullptr;  // &index_->candidates
   bool label_filters_ = false;  // bucket seeding + signatures are sound
-  // Pattern-side data hoisted to construction (previously recomputed per
-  // Run() via Graph::Degree calls in the hot loop).
+  // Pattern-side data hoisted to construction.
   std::vector<uint32_t> pattern_degree_;
   std::vector<uint64_t> pattern_sig_;   // only filled when label_filters_
   std::vector<uint64_t> pattern_repeat_sig_;  // labels seen >= 2x; ditto
-  std::vector<int> pattern_shell_;      // only filled when truss filter active
   std::vector<VertexId> order_;        // pattern vertices in match order
   std::vector<int> anchor_;            // order index of an earlier neighbor
   std::vector<VertexId> mapping_;      // pattern -> target (kUnmapped if none)

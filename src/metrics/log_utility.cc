@@ -1,6 +1,7 @@
 #include "metrics/log_utility.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "match/vf2.h"
 
@@ -10,14 +11,17 @@ std::vector<double> PatternLogUtilities(const std::vector<Graph>& query_log,
                                         const std::vector<Graph>& patterns) {
   std::vector<double> utilities(patterns.size(), 0.0);
   if (query_log.empty()) return utilities;
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    size_t helpful = 0;
-    for (const Graph& query : query_log) {
+  std::vector<size_t> helpful(patterns.size(), 0);
+  for (const Graph& query : query_log) {
+    std::shared_ptr<const MatchIndex> index = MatchIndex::Build(query);
+    for (size_t i = 0; i < patterns.size(); ++i) {
       if (patterns[i].NumEdges() > query.NumEdges()) continue;
-      if (ContainsSubgraph(query, patterns[i])) ++helpful;
+      if (SubgraphMatcher(patterns[i], query, index).Exists()) ++helpful[i];
     }
+  }
+  for (size_t i = 0; i < patterns.size(); ++i) {
     utilities[i] =
-        static_cast<double>(helpful) / static_cast<double>(query_log.size());
+        static_cast<double>(helpful[i]) / static_cast<double>(query_log.size());
   }
   return utilities;
 }
@@ -44,14 +48,17 @@ std::vector<size_t> LogAwareGreedySelect(
     for (size_t b = 0; b < universe_size; ++b) {
       if (c.coverage.Test(b)) e.coverage.Set(b);
     }
-    for (size_t q = 0; q < query_log.size(); ++q) {
-      if (c.pattern.NumEdges() > query_log[q].NumEdges()) continue;
-      if (!ContainsSubgraph(query_log[q], c.pattern)) continue;
+    extended.push_back(std::move(e));
+  }
+  for (size_t q = 0; q < query_log.size(); ++q) {
+    std::shared_ptr<const MatchIndex> index = MatchIndex::Build(query_log[q]);
+    for (ScoredCandidate& e : extended) {
+      if (e.pattern.NumEdges() > query_log[q].NumEdges()) continue;
+      if (!SubgraphMatcher(e.pattern, query_log[q], index).Exists()) continue;
       for (size_t r = 0; r < replication; ++r) {
         e.coverage.Set(universe_size + q * replication + r);
       }
     }
-    extended.push_back(std::move(e));
   }
   return GreedySelect(extended, budget, extended_size, weights);
 }

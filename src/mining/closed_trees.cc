@@ -1,6 +1,7 @@
 #include "mining/closed_trees.h"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_set>
 
 #include "match/vf2.h"
@@ -37,20 +38,27 @@ std::vector<FrequentTree> MaintainClosedTrees(
     const BatchUpdate& update, const TreeMinerConfig& config) {
   std::unordered_set<GraphId> deleted(update.deletions.begin(),
                                       update.deletions.end());
-  std::vector<FrequentTree> maintained;
+  // 1. Drop deleted ids.
   for (FrequentTree& t : trees) {
-    // 1. Drop deleted ids.
     auto end = std::remove_if(
         t.support.begin(), t.support.end(),
         [&](GraphId id) { return deleted.count(id) > 0; });
     t.support.erase(end, t.support.end());
-    // 2. Match against additions (only those actually in the db now).
-    for (const Graph& added : update.additions) {
-      if (!db.Contains(added.id())) continue;
-      if (ContainsSubgraph(db.Get(added.id()), t.tree)) {
+  }
+  // 2. Match against additions (only those actually in the db now), one
+  // index per added graph.
+  for (const Graph& added : update.additions) {
+    if (!db.Contains(added.id())) continue;
+    const Graph& g = db.Get(added.id());
+    std::shared_ptr<const MatchIndex> index = MatchIndex::Build(g);
+    for (FrequentTree& t : trees) {
+      if (SubgraphMatcher(t.tree, g, index).Exists()) {
         t.support.push_back(added.id());
       }
     }
+  }
+  std::vector<FrequentTree> maintained;
+  for (FrequentTree& t : trees) {
     std::sort(t.support.begin(), t.support.end());
     t.support.erase(std::unique(t.support.begin(), t.support.end()),
                     t.support.end());

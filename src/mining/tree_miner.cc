@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <tuple>
 #include <unordered_set>
 
@@ -66,6 +67,8 @@ std::vector<FrequentTree> MineFrequentTrees(const GraphDatabase& db,
     std::vector<FrequentTree> next;
     std::unordered_set<std::string> seen_codes;
     for (const FrequentTree& parent : level) {
+      // The parent's new (not yet seen) one-edge extensions, in growth order.
+      std::vector<Graph> grown;
       for (VertexId attach = 0; attach < parent.tree.NumVertices();
            ++attach) {
         Label attach_label = parent.tree.VertexLabel(attach);
@@ -79,24 +82,31 @@ std::vector<FrequentTree> MineFrequentTrees(const GraphDatabase& db,
             Graph candidate = parent.tree;
             VertexId leaf = candidate.AddVertex(other);
             candidate.AddEdge(attach, leaf, el);
-            std::string code = CanonicalCode(candidate);
-            if (!seen_codes.insert(code).second) continue;
-            // Support counting restricted to the parent's support set.
-            std::vector<GraphId> support;
-            for (GraphId gid : parent.support) {
-              if (ContainsSubgraph(db.Get(gid), candidate)) {
-                support.push_back(gid);
-              }
-            }
-            if (support.size() >= config.min_support) {
-              next.push_back(FrequentTree{std::move(candidate),
-                                          std::move(support)});
-              if (next.size() >= config.max_trees_per_level) break;
+            if (seen_codes.insert(CanonicalCode(candidate)).second) {
+              grown.push_back(std::move(candidate));
             }
           }
-          if (next.size() >= config.max_trees_per_level) break;
         }
-        if (next.size() >= config.max_trees_per_level) break;
+      }
+      // Support counting restricted to the parent's support set,
+      // graph-major: one index per supporting graph for all extensions.
+      std::vector<std::vector<GraphId>> supports(grown.size());
+      for (GraphId gid : parent.support) {
+        const Graph& g = db.Get(gid);
+        std::shared_ptr<const MatchIndex> index = MatchIndex::Build(g);
+        for (size_t i = 0; i < grown.size(); ++i) {
+          if (SubgraphMatcher(grown[i], g, index).Exists()) {
+            supports[i].push_back(gid);
+          }
+        }
+      }
+      for (size_t i = 0; i < grown.size() &&
+                         next.size() < config.max_trees_per_level;
+           ++i) {
+        if (supports[i].size() >= config.min_support) {
+          next.push_back(
+              FrequentTree{std::move(grown[i]), std::move(supports[i])});
+        }
       }
       if (next.size() >= config.max_trees_per_level) break;
     }

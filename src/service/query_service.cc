@@ -648,7 +648,6 @@ Status QueryService::CountWithDeadline(const Graph& pattern,
 
   MatchOptions opts = options_.match_options;
   opts.max_embeddings = request.max_embeddings;
-  opts.use_index = true;
   // One index fetch per (request, target): slices reuse the same immutable
   // snapshot, and the cache revalidates against the database's content
   // version so a maintainer rewrite of this graph forces a rebuild here.

@@ -1,6 +1,7 @@
 #include "sim/formulation.h"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -46,6 +47,8 @@ FormulationTrace SimulateFormulation(const Graph& target,
               return a->NumEdges() > b->NumEdges();
             });
 
+  // Every stamp attempt matches against the same target.
+  std::shared_ptr<const MatchIndex> index = MatchIndex::Build(target);
   while (!remaining.empty()) {
     // Try to stamp the largest pattern that structurally embeds onto
     // remaining target edges, at a net step saving over manual drawing.
@@ -57,7 +60,7 @@ FormulationTrace SimulateFormulation(const Graph& target,
       structural.match_vertex_labels = false;
       structural.match_edge_labels = false;
       structural.max_steps = 200000;  // bound per-pattern search
-      SubgraphMatcher matcher(*pattern, target, structural);
+      SubgraphMatcher matcher(*pattern, target, index, structural);
 
       // Among the first valid embeddings, keep the cheapest stamp.
       std::optional<Embedding> best;

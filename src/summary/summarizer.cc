@@ -1,6 +1,7 @@
 #include "summary/summarizer.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "metrics/cognitive_load.h"
 
@@ -17,10 +18,12 @@ GraphSummary SummarizeWithPatterns(const Graph& g,
   }
 
   // Precompute per-pattern coverage bitsets.
+  std::shared_ptr<const MatchIndex> index = MatchIndex::Build(g);
   std::vector<Bitset> coverage;
   coverage.reserve(vocabulary.size());
   for (const Graph& p : vocabulary) {
-    coverage.push_back(NetworkCoverageBits(g, edges, p, config.coverage));
+    coverage.push_back(
+        NetworkCoverageBits(g, edges, p, config.coverage, index));
   }
 
   Bitset covered(edges.size());

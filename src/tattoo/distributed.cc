@@ -1,6 +1,7 @@
 #include "tattoo/distributed.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -68,12 +69,13 @@ StatusOr<DistributedTattooResult> RunDistributedTattoo(
   result.stats.pooled_candidates = pooled.size();
   watch.Restart();
   std::vector<Edge> network_edges = network.Edges();
+  std::shared_ptr<const MatchIndex> index = MatchIndex::Build(network);
   std::vector<ScoredCandidate> scored;
   scored.reserve(pooled.size());
   for (Graph& pattern : pooled) {
     ScoredCandidate c;
     c.coverage = NetworkCoverageBits(network, network_edges, pattern,
-                                     config.base.coverage);
+                                     config.base.coverage, index);
     c.feature = PatternStructureFeature(pattern);
     c.load = CognitiveLoad(pattern, config.base.load_model);
     c.pattern = std::move(pattern);

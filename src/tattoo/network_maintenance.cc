@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -147,10 +148,11 @@ StatusOr<NetworkMaintenanceReport> ApplyNetworkBatch(
 
     // --- Score (full-network coverage) and swap. ------------------------------
     std::vector<Edge> network_edges = network.Edges();
+    std::shared_ptr<const MatchIndex> index = MatchIndex::Build(network);
     auto score = [&](Graph pattern) {
       ScoredCandidate c;
       c.coverage = NetworkCoverageBits(network, network_edges, pattern,
-                                       config.base.coverage);
+                                       config.base.coverage, index);
       c.feature = PatternStructureFeature(pattern);
       c.load = CognitiveLoad(pattern, config.base.load_model);
       c.pattern = std::move(pattern);

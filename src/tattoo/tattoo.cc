@@ -1,6 +1,7 @@
 #include "tattoo/tattoo.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -49,12 +50,13 @@ StatusOr<TattooResult> RunTattoo(const Graph& network,
   // Stage 3: score (budgeted edge coverage against the *whole* network) and
   // select greedily.
   std::vector<Edge> network_edges = network.Edges();
+  std::shared_ptr<const MatchIndex> index = MatchIndex::Build(network);
   std::vector<ScoredCandidate> scored;
   scored.reserve(candidates.size());
   for (Graph& pattern : candidates) {
     ScoredCandidate c;
-    c.coverage =
-        NetworkCoverageBits(network, network_edges, pattern, config.coverage);
+    c.coverage = NetworkCoverageBits(network, network_edges, pattern,
+                                     config.coverage, index);
     c.feature = PatternStructureFeature(pattern);
     c.load = CognitiveLoad(pattern, config.load_model);
     c.pattern = std::move(pattern);

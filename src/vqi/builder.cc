@@ -27,8 +27,10 @@ StatusOr<VqiBuildResult> BuildVqiForDatabase(const GraphDatabase& db,
   AttributePanel attributes =
       AttributePanel::FromStats(db.ComputeLabelStats(), dict);
   PatternPanel patterns = PanelWithBasics(attributes);
-  for (const Graph& p : selection->patterns()) {
-    patterns.AddCanned(p, DbCoverage(db, p));
+  const std::vector<Graph>& canned = selection->patterns();
+  std::vector<double> coverages = DbCoverageOfEach(db, canned);
+  for (size_t i = 0; i < canned.size(); ++i) {
+    patterns.AddCanned(canned[i], coverages[i]);
   }
   result.vqi = VisualQueryInterface(DataSourceKind::kGraphCollection,
                                     std::move(attributes), std::move(patterns));
@@ -55,8 +57,10 @@ StatusOr<VqiBuildResult> BuildVqiForNetwork(const Graph& network,
   VqiBuildResult result;
   AttributePanel attributes = AttributePanel::FromStats(stats, dict);
   PatternPanel patterns = PanelWithBasics(attributes);
-  for (const Graph& p : selection->patterns) {
-    patterns.AddCanned(p, NetworkSetCoverage(network, {p}, config.coverage));
+  std::vector<double> coverages =
+      NetworkCoverageOfEach(network, selection->patterns, config.coverage);
+  for (size_t i = 0; i < selection->patterns.size(); ++i) {
+    patterns.AddCanned(selection->patterns[i], coverages[i]);
   }
   result.vqi = VisualQueryInterface(DataSourceKind::kSingleNetwork,
                                     std::move(attributes), std::move(patterns));

@@ -23,10 +23,7 @@ StatusOr<MaintenanceReport> VqiMaintainer::ApplyBatch(
 
   // Refresh the canned patterns (keep basic ones).
   const std::vector<Graph>& patterns = state_.patterns();
-  std::vector<double> coverages;
-  coverages.reserve(patterns.size());
-  for (const Graph& p : patterns) coverages.push_back(DbCoverage(db, p));
-  vqi.pattern_panel().ReplaceCanned(patterns, coverages);
+  vqi.pattern_panel().ReplaceCanned(patterns, DbCoverageOfEach(db, patterns));
 
   // The database just changed under anything serving from it; give caches a
   // chance to drop results computed against the pre-batch state.

@@ -1,15 +1,14 @@
-// Differential harness for the matcher core: the indexed engine (CSR
-// adjacency + CandidateIndex pruning, MatchOptions::use_index) must be
-// observationally equivalent to the legacy direct-adjacency oracle on every
-// seeded (pattern, target) pair. Three contracts are pinned per pair:
+// Differential harness for the matcher: the engine (CSR adjacency plus
+// CandidateIndex pruning over a MatchIndex) must be the legacy search of
+// tests/vf2_oracle.h with only embedding-free branches cut. Three contracts
+// are pinned per seeded (pattern, target) pair:
 //
-//  1. Identical embedding sets (compared in sorted canonical order) and
-//     identical counts on unbudgeted runs.
-//  2. hit_step_limit mirrors budget exhaustion identically for both engines:
-//     for any max_steps budget B, hit ⟺ (full-run steps > B). Asserted at
-//     B = indexed_steps/2 (tight: typically both engines clip) and at
-//     B = legacy_steps (exactly enough: neither engine clips).
-//  3. The index only prunes: indexed steps <= legacy steps on every pair.
+//  1. The embedding *sequence* is identical — same embeddings, same order —
+//     on unbudgeted runs and on runs capped by max_embeddings.
+//  2. For any max_steps budget B, the oracle's budgeted sequence is a prefix
+//     of the engine's, and an engine hit implies an oracle hit. Both flags
+//     mirror budget exhaustion exactly: hit ⟺ (full-run steps > B).
+//  3. The index only prunes: engine steps <= oracle steps on every pair.
 //
 // Pairs are drawn from the BA / WS / molecule generators at mixed label
 // alphabet sizes, with induced and edge-label-insensitive variants mixed in.
@@ -28,45 +27,71 @@
 #include "graph/graph.h"
 #include "match/pattern_utils.h"
 #include "match/vf2.h"
+#include "vf2_oracle.h"
 
 namespace vqi {
 namespace {
 
-// Full-run safety budget: pairs whose legacy enumeration exceeds this are
-// skipped for set equality (tallied below; the seeds keep this rare).
+// Full-run safety budget: pairs whose oracle enumeration exceeds this are
+// skipped for full-sequence equality (tallied below; the seeds keep this
+// rare).
 constexpr uint64_t kStepBudget = 300000;
-// Embedding sets larger than this are compared by count only.
-constexpr size_t kSetCap = 30000;
+// Sequences longer than this are compared on their first kSeqCap entries
+// (plus the total count).
+constexpr size_t kSeqCap = 30000;
 
 struct TestPair {
   std::string name;
   Graph pattern;
   Graph target;
-  MatchOptions options;  // use_index overridden per engine below
+  MatchOptions options;  // budgets and caps overridden per run below
 };
 
 struct RunResult {
   uint64_t count = 0;
   uint64_t steps = 0;
   bool hit_limit = false;
-  std::vector<Embedding> embeddings;  // first kSetCap, sorted by caller
+  std::vector<Embedding> embeddings;  // first kSeqCap, in emission order
 };
 
-RunResult RunEngine(const TestPair& pair, bool use_index, uint64_t max_steps) {
-  MatchOptions options = pair.options;
-  options.use_index = use_index;
-  options.max_steps = max_steps;
-  options.max_embeddings = 0;
-  SubgraphMatcher matcher(pair.pattern, pair.target, options);
+template <typename Matcher>
+RunResult Run(Matcher& matcher) {
   RunResult run;
   run.count = matcher.Enumerate([&run](const Embedding& e) {
-    if (run.embeddings.size() < kSetCap) run.embeddings.push_back(e);
+    if (run.embeddings.size() < kSeqCap) run.embeddings.push_back(e);
     return true;
   });
   run.steps = matcher.steps();
   run.hit_limit = matcher.hit_step_limit();
-  std::sort(run.embeddings.begin(), run.embeddings.end());
   return run;
+}
+
+MatchOptions Budgeted(const TestPair& pair, uint64_t max_steps,
+                      uint64_t max_embeddings) {
+  MatchOptions options = pair.options;
+  options.max_steps = max_steps;
+  options.max_embeddings = max_embeddings;
+  return options;
+}
+
+RunResult RunEngine(const TestPair& pair, uint64_t max_steps,
+                    uint64_t max_embeddings = 0) {
+  SubgraphMatcher matcher(pair.pattern, pair.target,
+                          Budgeted(pair, max_steps, max_embeddings));
+  return Run(matcher);
+}
+
+RunResult RunOracle(const TestPair& pair, uint64_t max_steps,
+                    uint64_t max_embeddings = 0) {
+  oracle::LegacyMatcher matcher(pair.pattern, pair.target,
+                                Budgeted(pair, max_steps, max_embeddings));
+  return Run(matcher);
+}
+
+bool IsPrefix(const std::vector<Embedding>& prefix,
+              const std::vector<Embedding>& whole) {
+  return prefix.size() <= whole.size() &&
+         std::equal(prefix.begin(), prefix.end(), whole.begin());
 }
 
 std::vector<TestPair> MakePairs() {
@@ -110,7 +135,7 @@ std::vector<TestPair> MakePairs() {
     }
   }
 
-  // Watts–Strogatz: high clustering (exercises the truss filter).
+  // Watts–Strogatz: high clustering.
   for (size_t n : {40u, 120u}) {
     for (size_t k : {4u, 6u}) {
       for (size_t num_labels : {3u, 8u}) {
@@ -160,23 +185,36 @@ TEST(DifferentialTest, IndexedMatchesLegacyOracleOnSeededCorpus) {
   size_t skipped_over_budget = 0;
   for (const TestPair& pair : pairs) {
     SCOPED_TRACE(pair.name);
-    RunResult legacy = RunEngine(pair, /*use_index=*/false, kStepBudget);
+    RunResult legacy = RunOracle(pair, kStepBudget);
     if (legacy.hit_limit) {
-      // Too expensive to enumerate fully at this seed; the budgeted-flag
+      // Too expensive to enumerate fully at this seed; the budgeted
       // contract for heavy pairs is covered by StepLimitBehaviorIsIdentical.
       ++skipped_over_budget;
       continue;
     }
-    RunResult indexed = RunEngine(pair, /*use_index=*/true, kStepBudget);
+    RunResult indexed = RunEngine(pair, kStepBudget);
     ASSERT_FALSE(indexed.hit_limit);
 
     // Contract 3: pruning only ever shrinks the search tree.
     EXPECT_LE(indexed.steps, legacy.steps);
-    // Contract 1: identical answers.
+    // Contract 1: identical sequences, not just identical sets.
     ASSERT_EQ(indexed.count, legacy.count);
-    if (legacy.count <= kSetCap) {
-      ASSERT_EQ(indexed.embeddings, legacy.embeddings);
+    ASSERT_EQ(indexed.embeddings, legacy.embeddings);
+
+    // Capped runs stop after the same embeddings, so FindOne and capped
+    // counts return what the oracle returns.
+    for (uint64_t cap : {uint64_t{1}, uint64_t{3}, legacy.count / 2}) {
+      if (cap == 0) continue;
+      RunResult legacy_capped = RunOracle(pair, 0, cap);
+      RunResult indexed_capped = RunEngine(pair, 0, cap);
+      EXPECT_EQ(indexed_capped.count, legacy_capped.count);
+      EXPECT_EQ(indexed_capped.embeddings, legacy_capped.embeddings);
+      EXPECT_LE(indexed_capped.steps, legacy_capped.steps);
     }
+    SubgraphMatcher engine(pair.pattern, pair.target, pair.options);
+    oracle::LegacyMatcher reference(pair.pattern, pair.target, pair.options);
+    EXPECT_EQ(engine.FindOne(), reference.FindOne());
+    EXPECT_EQ(engine.Exists(), reference.Exists());
     ++verified;
   }
   // The corpus must stay overwhelmingly verifiable at full depth.
@@ -187,37 +225,42 @@ TEST(DifferentialTest, IndexedMatchesLegacyOracleOnSeededCorpus) {
 TEST(DifferentialTest, StepLimitBehaviorIsIdentical) {
   std::vector<TestPair> pairs = MakePairs();
   size_t checked = 0;
+  Rng rng(0xB4D9E7ull);
   for (const TestPair& pair : pairs) {
     SCOPED_TRACE(pair.name);
-    RunResult legacy = RunEngine(pair, /*use_index=*/false, kStepBudget);
-    RunResult indexed = RunEngine(pair, /*use_index=*/true, kStepBudget);
+    RunResult legacy = RunOracle(pair, kStepBudget);
+    RunResult indexed = RunEngine(pair, kStepBudget);
     if (legacy.hit_limit || indexed.hit_limit) continue;
 
-    // Tight budget: both engines' flags must mirror budget exhaustion
-    // exactly — hit ⟺ (full-run steps > budget) — and because the index only
-    // prunes, an indexed clip implies a legacy clip.
-    const uint64_t tight = std::max<uint64_t>(1, indexed.steps / 2);
-    RunResult legacy_tight = RunEngine(pair, /*use_index=*/false, tight);
-    RunResult indexed_tight = RunEngine(pair, /*use_index=*/true, tight);
-    EXPECT_EQ(legacy_tight.hit_limit, legacy.steps > tight);
-    EXPECT_EQ(indexed_tight.hit_limit, indexed.steps > tight);
-    if (indexed_tight.hit_limit) {
-      EXPECT_TRUE(legacy_tight.hit_limit);
+    // Contract 2 at budgets that clip one engine, both, or neither: tight
+    // (half of either engine's run), random, exactly enough for each.
+    std::vector<uint64_t> budgets = {
+        1,
+        std::max<uint64_t>(1, indexed.steps / 2),
+        std::max<uint64_t>(1, legacy.steps / 2),
+        1 + rng.UniformInt(std::max<uint64_t>(1, legacy.steps)),
+        std::max<uint64_t>(1, indexed.steps),
+        std::max<uint64_t>(1, legacy.steps)};
+    for (uint64_t budget : budgets) {
+      SCOPED_TRACE("budget " + std::to_string(budget));
+      RunResult legacy_b = RunOracle(pair, budget);
+      RunResult indexed_b = RunEngine(pair, budget);
+      // Both flags mirror budget exhaustion exactly.
+      EXPECT_EQ(legacy_b.hit_limit, legacy.steps > budget);
+      EXPECT_EQ(indexed_b.hit_limit, indexed.steps > budget);
+      // The index only prunes, so an engine clip implies an oracle clip and
+      // the engine gets at least as far down the same sequence.
+      if (indexed_b.hit_limit) {
+        EXPECT_TRUE(legacy_b.hit_limit);
+      }
+      EXPECT_TRUE(IsPrefix(legacy_b.embeddings, indexed_b.embeddings));
+      EXPECT_TRUE(IsPrefix(indexed_b.embeddings, indexed.embeddings));
+      EXPECT_LE(legacy_b.count, indexed_b.count);
+      EXPECT_LE(indexed_b.steps, budget);
+      if (!indexed_b.hit_limit) {
+        EXPECT_EQ(indexed_b.count, indexed.count);
+      }
     }
-    // A clipped run reports a lower bound, never an overcount.
-    EXPECT_LE(legacy_tight.count, legacy.count);
-    EXPECT_LE(indexed_tight.count, indexed.count);
-
-    // Exactly-enough budget: neither engine clips and both still return the
-    // full answer.
-    RunResult legacy_exact =
-        RunEngine(pair, /*use_index=*/false, std::max<uint64_t>(1, legacy.steps));
-    RunResult indexed_exact =
-        RunEngine(pair, /*use_index=*/true, std::max<uint64_t>(1, indexed.steps));
-    EXPECT_FALSE(legacy_exact.hit_limit);
-    EXPECT_FALSE(indexed_exact.hit_limit);
-    EXPECT_EQ(legacy_exact.count, legacy.count);
-    EXPECT_EQ(indexed_exact.count, indexed.count);
     ++checked;
   }
   EXPECT_GE(checked, 150u);
@@ -225,8 +268,8 @@ TEST(DifferentialTest, StepLimitBehaviorIsIdentical) {
 
 TEST(DifferentialTest, WildcardDummySemanticsAgree) {
   // Closure-graph semantics: dummy labels match anything, which disables the
-  // index's label filters — degree and truss pruning must still agree with
-  // the oracle.
+  // index's label filters — degree pruning must still agree with the
+  // oracle, embedding for embedding.
   Rng rng(0x5EED);
   gen::LabelConfig labels;
   labels.num_vertex_labels = 4;
@@ -245,8 +288,8 @@ TEST(DifferentialTest, WildcardDummySemanticsAgree) {
     pair.pattern = std::move(*pattern);
     pair.target = target;
     pair.options.dummy_is_wildcard = true;
-    RunResult legacy = RunEngine(pair, /*use_index=*/false, kStepBudget);
-    RunResult indexed = RunEngine(pair, /*use_index=*/true, kStepBudget);
+    RunResult legacy = RunOracle(pair, kStepBudget);
+    RunResult indexed = RunEngine(pair, kStepBudget);
     ASSERT_FALSE(legacy.hit_limit);
     ASSERT_FALSE(indexed.hit_limit);
     EXPECT_LE(indexed.steps, legacy.steps);

@@ -12,7 +12,7 @@
 #include "match/csr_graph.h"
 #include "match/pattern_utils.h"
 #include "match/vf2.h"
-#include "truss/truss.h"
+#include "vf2_oracle.h"
 
 namespace vqi {
 namespace {
@@ -297,10 +297,9 @@ TEST(CsrGraphTest, RoundTripMatchesGraphAdjacency) {
 }
 
 TEST(CandidateIndexTest, NeverPrunesATrueEmbeddingVertex) {
-  // Soundness against brute force: every filter the index applies (label
-  // bucket membership with min-degree cutoff, signature subsumption, truss
-  // shell dominance) must admit the image of every pattern vertex in every
-  // real embedding the oracle finds.
+  // Soundness against the unfiltered oracle: every filter the index applies
+  // (label bucket membership, min-degree, signature subsumption) must admit
+  // the image of every pattern vertex in every embedding the oracle finds.
   Rng rng(0x50F7);
   gen::LabelConfig labels;
   labels.num_vertex_labels = 4;
@@ -309,22 +308,20 @@ TEST(CandidateIndexTest, NeverPrunesATrueEmbeddingVertex) {
   for (int round = 0; round < 8; ++round) {
     Graph target = gen::ErdosRenyi(24, 0.15, labels, rng);
     CsrGraph csr(target);
-    CandidateIndex index = CandidateIndex::Build(target, csr);
+    CandidateIndex index = CandidateIndex::Build(csr);
     for (int p = 0; p < 4; ++p) {
       auto pattern = RandomConnectedSubgraph(target, 2 + rng.UniformInt(3), rng);
       if (!pattern.has_value()) continue;
-      // Pattern-side data the matcher precomputes, rebuilt here by hand.
-      TrussDecomposition pattern_truss = DecomposeTruss(*pattern);
-      SubgraphMatcher oracle(*pattern, target, MatchOptions{});
+      oracle::LegacyMatcher oracle(*pattern, target);
       oracle.Enumerate([&](const Embedding& emb) {
         ++embeddings_checked;
         for (VertexId u = 0; u < pattern->NumVertices(); ++u) {
           VertexId tv = emb[u];
-          // Bucket membership with the min-degree cutoff.
-          CandidateIndex::Range range = index.CandidatesForLabel(
-              pattern->VertexLabel(u),
-              static_cast<uint32_t>(pattern->Degree(u)));
+          // Bucket membership and the min-degree cutoff.
+          CandidateIndex::Range range =
+              index.VerticesWithLabel(pattern->VertexLabel(u));
           EXPECT_TRUE(std::find(range.begin, range.end, tv) != range.end);
+          EXPECT_GE(csr.Degree(tv), pattern->Degree(u));
           // Signature subsumption: base mask and the >=2x repeat mask.
           uint64_t pattern_sig = 0;
           uint64_t pattern_repeat = 0;
@@ -338,14 +335,6 @@ TEST(CandidateIndexTest, NeverPrunesATrueEmbeddingVertex) {
               pattern_sig, index.NeighborhoodSignature(tv)));
           EXPECT_TRUE(CandidateIndex::SignatureSubsumes(
               pattern_repeat, index.NeighborhoodRepeatSignature(tv)));
-          // Truss shell dominance.
-          int pattern_shell = 0;
-          for (const Neighbor& nb : pattern->Neighbors(u)) {
-            pattern_shell = std::max(
-                pattern_shell, pattern_truss.EdgeTrussness(u, nb.vertex));
-          }
-          EXPECT_TRUE(index.has_truss());
-          EXPECT_GE(index.Shell(tv), pattern_shell);
         }
         return true;
       });
@@ -354,60 +343,55 @@ TEST(CandidateIndexTest, NeverPrunesATrueEmbeddingVertex) {
   EXPECT_GT(embeddings_checked, 100u);
 }
 
-TEST(CandidateIndexTest, TrussShellsAreMonotoneUnderEdgeAddition) {
-  // Trussness only grows when edges are added (more triangles, never fewer),
-  // so vertex shells must be monotone too — the property that makes the
-  // shell filter safe to compare across pattern (sub)graphs.
-  Rng rng(0x7A55);
+TEST(CandidateIndexTest, BucketsAreIdOrderedAndCountsMatchAScan) {
+  // Anchorless depths walk a label bucket in place of a full vertex scan,
+  // so the bucket must list exactly that label's vertices in id order; the
+  // seeding widths must equal a direct count.
+  Rng rng(0xB0C7);
   gen::LabelConfig labels;
-  Graph g = gen::WattsStrogatz(30, 4, 0.1, labels, rng);
+  labels.num_vertex_labels = 5;
+  Graph g = gen::BarabasiAlbert(200, 3, labels, rng);
   CsrGraph csr(g);
-  CandidateIndex before = CandidateIndex::Build(g, csr);
-  for (int added = 0; added < 20;) {
-    VertexId u = static_cast<VertexId>(rng.UniformInt(g.NumVertices()));
-    VertexId v = static_cast<VertexId>(rng.UniformInt(g.NumVertices()));
-    if (u == v || g.HasEdge(u, v)) continue;
-    ASSERT_TRUE(g.AddEdge(u, v));
-    ++added;
-    CsrGraph dense_csr(g);
-    CandidateIndex after = CandidateIndex::Build(g, dense_csr);
-    for (VertexId w = 0; w < g.NumVertices(); ++w) {
-      EXPECT_GE(after.Shell(w), before.Shell(w));
-      // Any vertex with an edge sits in a shell of at least 2.
-      if (g.Degree(w) > 0) {
-        EXPECT_GE(after.Shell(w), 2);
-      }
+  CandidateIndex index = CandidateIndex::Build(csr);
+  for (Label label = 0; label < 7; ++label) {
+    std::vector<VertexId> expected;
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      if (g.VertexLabel(v) == label) expected.push_back(v);
     }
-    before = std::move(after);
+    CandidateIndex::Range range = index.VerticesWithLabel(label);
+    EXPECT_EQ(std::vector<VertexId>(range.begin, range.end), expected);
+    for (uint32_t min_degree : {0u, 1u, 3u, 5u, 8u, 20u, 1000u}) {
+      size_t count = 0;
+      for (VertexId v : expected) {
+        if (g.Degree(v) >= min_degree) ++count;
+      }
+      EXPECT_EQ(index.CountCandidates(label, min_degree), count);
+    }
   }
 }
 
 TEST(Vf2Test, RepeatedRunsGiveIdenticalResultsAndStepCounts) {
   // Regression for the hoisted pattern-side precomputation: one matcher must
   // be reusable — two consecutive runs see identical counts AND identical
-  // step counts, on both engines.
+  // step counts.
   Rng rng(0x2E9);
   gen::LabelConfig labels;
   labels.num_vertex_labels = 3;
   Graph target = gen::BarabasiAlbert(50, 2, labels, rng);
   auto pattern = RandomConnectedSubgraph(target, 4, rng);
   ASSERT_TRUE(pattern.has_value());
-  for (bool use_index : {false, true}) {
-    MatchOptions options;
-    options.use_index = use_index;
-    SubgraphMatcher matcher(*pattern, target, options);
-    uint64_t count1 = matcher.CountEmbeddings();
-    uint64_t steps1 = matcher.steps();
-    uint64_t count2 = matcher.CountEmbeddings();
-    uint64_t steps2 = matcher.steps();
-    EXPECT_GT(count1, 0u);
-    EXPECT_EQ(count1, count2);
-    EXPECT_EQ(steps1, steps2);
-    // And a third run through Enumerate agrees too.
-    uint64_t count3 = matcher.Enumerate([](const Embedding&) { return true; });
-    EXPECT_EQ(count1, count3);
-    EXPECT_EQ(steps1, matcher.steps());
-  }
+  SubgraphMatcher matcher(*pattern, target);
+  uint64_t count1 = matcher.CountEmbeddings();
+  uint64_t steps1 = matcher.steps();
+  uint64_t count2 = matcher.CountEmbeddings();
+  uint64_t steps2 = matcher.steps();
+  EXPECT_GT(count1, 0u);
+  EXPECT_EQ(count1, count2);
+  EXPECT_EQ(steps1, steps2);
+  // And a third run through Enumerate agrees too.
+  uint64_t count3 = matcher.Enumerate([](const Embedding&) { return true; });
+  EXPECT_EQ(count1, count3);
+  EXPECT_EQ(steps1, matcher.steps());
 }
 
 TEST(Vf2Test, SharedMatchIndexMatchesPrivateIndex) {
@@ -420,10 +404,8 @@ TEST(Vf2Test, SharedMatchIndexMatchesPrivateIndex) {
   auto pattern = RandomConnectedSubgraph(target, 3, rng);
   ASSERT_TRUE(pattern.has_value());
   std::shared_ptr<const MatchIndex> shared = MatchIndex::Build(target);
-  MatchOptions options;
-  options.use_index = true;
-  SubgraphMatcher with_private(*pattern, target, options);
-  SubgraphMatcher with_shared(*pattern, target, shared, options);
+  SubgraphMatcher with_private(*pattern, target);
+  SubgraphMatcher with_shared(*pattern, target, shared);
   EXPECT_EQ(with_private.CountEmbeddings(), with_shared.CountEmbeddings());
   EXPECT_EQ(with_private.steps(), with_shared.steps());
 }

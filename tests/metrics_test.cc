@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <utility>
 
 #include "common/bitset.h"
 #include "common/rng.h"
@@ -14,6 +17,7 @@
 #include "metrics/diversity.h"
 #include "metrics/log_utility.h"
 #include "metrics/pattern_score.h"
+#include "vf2_oracle.h"
 
 namespace vqi {
 namespace {
@@ -170,6 +174,63 @@ TEST(CoverageTest, NetworkCoverageMatchesBruteForceLookup) {
     if (got.Count() > 0) ++nonempty;
   }
   EXPECT_GE(nonempty, 8u);
+}
+
+TEST(CoverageTest, NetworkCoverageMatchesTheOracleSequence) {
+  // At the default cap of 256 embeddings the coverage bits depend on which
+  // embeddings are enumerated first, so they agree with the unindexed
+  // oracle only if the engine emits the oracle's sequence. Patterns whose
+  // oracle run hits the step budget are skipped: there the engine, which
+  // prunes, may get further on the same budget.
+  Rng rng(0xC0FE);
+  gen::LabelConfig labels;
+  labels.num_vertex_labels = 3;
+  Graph network = gen::BarabasiAlbert(3000, 3, labels, rng);
+  std::vector<Edge> edges = network.Edges();
+  std::map<std::pair<VertexId, VertexId>, size_t> edge_index;
+  for (size_t i = 0; i < edges.size(); ++i) {
+    edge_index[{edges[i].u, edges[i].v}] = i;
+  }
+  std::shared_ptr<const MatchIndex> index = MatchIndex::Build(network);
+  size_t compared = 0;
+  size_t capped = 0;
+  size_t budget_bound = 0;
+  for (int draw = 0; draw < 40; ++draw) {
+    auto pattern = RandomConnectedSubgraph(network, 2 + draw % 4, rng);
+    if (!pattern.has_value()) continue;
+    NetworkCoverageOptions options;
+    options.match_vertex_labels = draw % 5 != 4;
+    MatchOptions match;
+    match.match_vertex_labels = options.match_vertex_labels;
+    match.max_embeddings = options.max_embeddings;
+    match.max_steps = options.max_steps;
+    oracle::LegacyMatcher oracle(*pattern, network, match);
+    Bitset want(edges.size());
+    std::vector<Edge> pattern_edges = pattern->Edges();
+    uint64_t found = oracle.Enumerate([&](const Embedding& embedding) {
+      for (const Edge& pe : pattern_edges) {
+        VertexId u = std::min(embedding[pe.u], embedding[pe.v]);
+        VertexId v = std::max(embedding[pe.u], embedding[pe.v]);
+        want.Set(edge_index.at({u, v}));
+      }
+      return true;
+    });
+    if (oracle.hit_step_limit()) {
+      ++budget_bound;
+      continue;
+    }
+    SCOPED_TRACE("draw " + std::to_string(draw));
+    EXPECT_TRUE(NetworkCoverageBits(network, edges, *pattern, options) ==
+                want);
+    EXPECT_TRUE(NetworkCoverageBits(network, edges, *pattern, options,
+                                    index) == want);
+    ++compared;
+    if (found == options.max_embeddings) ++capped;
+  }
+  EXPECT_GE(compared, 30u);
+  // The cap must bind often, or the order would not matter.
+  EXPECT_GE(capped, 10u);
+  EXPECT_LE(budget_bound, 5u);
 }
 
 TEST(DiversityTest, IdenticalPatternsZeroDiversity) {

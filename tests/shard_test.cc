@@ -611,6 +611,12 @@ TEST(ReplicatedRouterTest, AllReplicasDownIsCountedAndFails) {
 // past the gather deadline (kDeadlineExceeded). A strict merge must surface
 // the most severe failure — internal — with the owning shard named, and the
 // abandoned leg must tick vqi_router_gather_timeout_total.
+//
+// The legs are ordered rather than raced against each other: one fan-out
+// thread runs them in shard order, and shard 0 fails at admission on that
+// thread, with no service-pool hop and no retry, so shard 1's leg (and its
+// stall) starts only after shard 0's leg has resolved. What is left of the
+// clock is the fan-out thread's first wake-up inside the 65 ms window.
 TEST(ShardedRouterTest, MergeSurfacesMostSevereFailureAcrossShards) {
   GraphDatabase db = MakeMolecules(12);
   FaultPlan stall_plan;
@@ -620,16 +626,18 @@ TEST(ShardedRouterTest, MergeSurfacesMostSevereFailureAcrossShards) {
   FaultInjector stall(stall_plan);
   FaultPlan error_plan;
   error_plan.seed = 5;
-  error_plan.At(FaultPoint::kExecutor).error_p = 1.0;
-  error_plan.At(FaultPoint::kExecutor).error_code = StatusCode::kInternal;
+  error_plan.At(FaultPoint::kAdmission).error_p = 1.0;
+  error_plan.At(FaultPoint::kAdmission).error_code = StatusCode::kInternal;
   FaultInjector internal_error(error_plan);
   ShardedRouterOptions options;
   options.num_shards = 2;
+  options.router_threads = 1;  // legs run one at a time, shard 0 first
   options.shard_options.fault_injector = &stall;  // fleet-wide stall...
   options.chaos_injector = &internal_error;       // ...replaced on shard 0
   options.chaos_shard = 0;
   options.gather_slack_ms = 25;
   options.client_options.sleep_on_backoff = false;
+  options.client_options.retry.max_attempts = 1;
   ShardedRouter router(db, options);
 
   QueryRequest strict = MatchAll(SingleVertexPattern(0));
